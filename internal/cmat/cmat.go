@@ -221,7 +221,7 @@ func MulInto(dst, a, b *Matrix) {
 		mul4x4(dst.Data, a.Data, b.Data)
 		return
 	case n >= gemmMinDim && p >= gemmMinDim:
-		mulRows(dst, a, b, 0, n)
+		mulRows(dst, a, b)
 		return
 	}
 	mulNaive(dst, a, b)
@@ -304,7 +304,7 @@ func MulABtInto(dst, a, b *Matrix) {
 		panic("cmat: MulABtInto shape mismatch")
 	}
 	if a.Rows >= gemmMinDim && b.Rows >= gemmMinDim {
-		mulABtRows(dst, a, b, 0, a.Rows)
+		mulABtRows(dst, a, b)
 		return
 	}
 	k := a.Cols
@@ -330,7 +330,7 @@ func MulConjInto(dst, a, b *Matrix) {
 	}
 	n, k, p := a.Rows, a.Cols, b.Cols
 	if n >= gemmMinDim && p >= gemmMinDim {
-		mulConjRows(dst, a, b, 0, n)
+		mulConjRows(dst, a, b)
 		return
 	}
 	for i := 0; i < n; i++ {

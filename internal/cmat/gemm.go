@@ -22,57 +22,20 @@ package cmat
 // observable value anywhere in the system. The same holds per element for
 // the conj(A)·B and A·Bᵀ variants below (A·Bᵀ has no zero-skip in either
 // arm, matching its naive form).
-//
-// MulIntoParallel adds an optional bounded worker pool over disjoint blocks
-// of output rows (package-level SetWorkers, default 1 = sequential). Blocks
-// never overlap and every element is computed by the same code regardless
-// of which worker runs it, so the parallel path is bit-identical by
-// construction.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+// gemmMinDim routes MulInto and friends onto the blocked path: below it
+// the unrolled kernels or the naive loop win (row-block bookkeeping costs
+// more than it saves on a 4×4).
+const gemmMinDim = 8
 
-const (
-	// gemmMinDim routes MulInto and friends onto the blocked path: below it
-	// the unrolled kernels or the naive loop win (row-block bookkeeping
-	// costs more than it saves on a 4×4).
-	gemmMinDim = 8
-	// gemmRowBlock is the parallel work-unit granularity in output rows:
-	// big enough that a unit amortizes the handoff, small enough that a
-	// 16-row product still splits across two workers.
-	gemmRowBlock = 8
-)
-
-// gemmWorkers is the bounded pool size used by MulIntoParallel; 1 (the
-// default) keeps every multiply sequential.
-var gemmWorkers atomic.Int32
-
-func init() { gemmWorkers.Store(1) }
-
-// SetWorkers bounds the worker pool MulIntoParallel fans output-row blocks
-// across. Values below 1 are clamped to 1 (sequential). The setting is
-// process-wide and safe to change concurrently with multiplies; in-flight
-// calls keep the count they started with.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	gemmWorkers.Store(int32(n))
-}
-
-// Workers returns the current MulIntoParallel pool bound.
-func Workers() int { return int(gemmWorkers.Load()) }
-
-// mulRows computes rows [i0, i1) of dst = a·b, four output rows per B-row
-// pass. Shapes are the caller's responsibility. Per output element the
-// k-loop runs ascending with the naive loop's exact zero-skip, so results
-// are bit-identical to mulNaive for any [i0, i1) split.
-func mulRows(dst, a, b *Matrix, i0, i1 int) {
-	k, p := a.Cols, b.Cols
-	i := i0
-	for ; i+3 < i1; i += 4 {
+// mulRows computes dst = a·b, four output rows per B-row pass. Shapes are
+// the caller's responsibility. Per output element the k-loop runs
+// ascending with the naive loop's exact zero-skip, so results are
+// bit-identical to mulNaive.
+func mulRows(dst, a, b *Matrix) {
+	n, k, p := a.Rows, a.Cols, b.Cols
+	i := 0
+	for ; i+3 < n; i += 4 {
 		r0 := dst.Data[i*p : (i+1)*p]
 		r1 := dst.Data[(i+1)*p : (i+2)*p]
 		r2 := dst.Data[(i+2)*p : (i+3)*p]
@@ -120,7 +83,7 @@ func mulRows(dst, a, b *Matrix, i0, i1 int) {
 			}
 		}
 	}
-	for ; i < i1; i++ {
+	for ; i < n; i++ {
 		row := dst.Data[i*p : (i+1)*p]
 		for j := range row {
 			row[j] = 0
@@ -160,55 +123,13 @@ func mulNaive(dst, a, b *Matrix) {
 	}
 }
 
-// MulIntoParallel computes dst = a·b like MulInto, fanning blocks of
-// output rows across the bounded SetWorkers pool. Blocks are disjoint and
-// every element is computed by the same kernel as the sequential path, so
-// the result is bit-identical to MulInto for any worker count. Products
-// too small to split (or a pool of 1) run sequentially inline.
-func MulIntoParallel(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("cmat: MulIntoParallel shape mismatch")
-	}
-	n, p := a.Rows, b.Cols
-	w := Workers()
-	blocks := (n + gemmRowBlock - 1) / gemmRowBlock
-	if w > blocks {
-		w = blocks
-	}
-	if w <= 1 || n < gemmMinDim || p < gemmMinDim {
-		MulInto(dst, a, b)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				bi := int(next.Add(1)) - 1
-				if bi >= blocks {
-					return
-				}
-				lo := bi * gemmRowBlock
-				hi := lo + gemmRowBlock
-				if hi > n {
-					hi = n
-				}
-				mulRows(dst, a, b, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// mulConjRows computes rows [i0, i1) of dst = conj(a)·b with the same
-// four-row blocking. Per element it conjugates a[i][l] after the zero test
-// on the raw value, exactly as the naive MulConjInto loop does.
-func mulConjRows(dst, a, b *Matrix, i0, i1 int) {
-	k, p := a.Cols, b.Cols
-	i := i0
-	for ; i+3 < i1; i += 4 {
+// mulConjRows computes dst = conj(a)·b with the same four-row blocking.
+// Per element it conjugates a[i][l] after the zero test on the raw value,
+// exactly as the naive MulConjInto loop does.
+func mulConjRows(dst, a, b *Matrix) {
+	n, k, p := a.Rows, a.Cols, b.Cols
+	i := 0
+	for ; i+3 < n; i += 4 {
 		r0 := dst.Data[i*p : (i+1)*p]
 		r1 := dst.Data[(i+1)*p : (i+2)*p]
 		r2 := dst.Data[(i+2)*p : (i+3)*p]
@@ -262,7 +183,7 @@ func mulConjRows(dst, a, b *Matrix, i0, i1 int) {
 			}
 		}
 	}
-	for ; i < i1; i++ {
+	for ; i < n; i++ {
 		row := dst.Data[i*p : (i+1)*p]
 		for j := range row {
 			row[j] = 0
@@ -282,14 +203,14 @@ func mulConjRows(dst, a, b *Matrix, i0, i1 int) {
 	}
 }
 
-// mulABtRows computes rows [i0, i1) of dst = a·bᵀ with 2×2 accumulator
-// tiles: each pass streams two contiguous A rows against two contiguous B
-// rows, and the four complex accumulators stay in registers. The naive
-// MulABtInto has no zero-skip, so neither does this.
-func mulABtRows(dst, a, b *Matrix, i0, i1 int) {
-	k, br := a.Cols, b.Rows
-	i := i0
-	for ; i+1 < i1; i += 2 {
+// mulABtRows computes dst = a·bᵀ with 2×2 accumulator tiles: each pass
+// streams two contiguous A rows against two contiguous B rows, and the
+// four complex accumulators stay in registers. The naive MulABtInto has no
+// zero-skip, so neither does this.
+func mulABtRows(dst, a, b *Matrix) {
+	n, k, br := a.Rows, a.Cols, b.Rows
+	i := 0
+	for ; i+1 < n; i += 2 {
 		a0 := a.Data[i*k : (i+1)*k]
 		a1 := a.Data[(i+1)*k : (i+2)*k]
 		j := 0
@@ -313,7 +234,7 @@ func mulABtRows(dst, a, b *Matrix, i0, i1 int) {
 			mulABtCol1(dst.Data, a.Data, b.Data, k, br, i+1, j)
 		}
 	}
-	for ; i < i1; i++ {
+	for ; i < n; i++ {
 		for j := 0; j < br; j++ {
 			mulABtCol1(dst.Data, a.Data, b.Data, k, br, i, j)
 		}

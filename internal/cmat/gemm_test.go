@@ -2,7 +2,6 @@ package cmat
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -159,70 +158,9 @@ func TestDaggerIntoBlockedMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestMulIntoParallelBitIdentical runs the worker pool at several widths
-// (run under -race this also exercises the pool for data races) and checks
-// bit identity with the sequential product.
-func TestMulIntoParallelBitIdentical(t *testing.T) {
-	defer SetWorkers(1)
-	for _, n := range []int{8, 16, 32, 33} {
-		a := randSparse(n, n, int64(n))
-		b := randDense(n, n, int64(n)+500)
-		want := New(n, n)
-		MulInto(want, a, b)
-		for _, w := range []int{1, 2, 4, 8} {
-			SetWorkers(w)
-			got := New(n, n)
-			MulIntoParallel(got, a, b)
-			if !bitEqual(got, want) {
-				t.Fatalf("MulIntoParallel n=%d workers=%d differs from sequential", n, w)
-			}
-		}
-	}
-}
-
-// TestMulIntoParallelConcurrentCalls launches many parallel multiplies at
-// once so -race can see the pool, the atomic work counter, and SetWorkers
-// racing against in-flight calls.
-func TestMulIntoParallelConcurrentCalls(t *testing.T) {
-	defer SetWorkers(1)
-	SetWorkers(4)
-	a := randDense(16, 16, 1)
-	b := randDense(16, 16, 2)
-	want := New(16, 16)
-	MulInto(want, a, b)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g == 0 {
-				SetWorkers(3) // racing setter: must not corrupt results
-			}
-			dst := New(16, 16)
-			for iter := 0; iter < 10; iter++ {
-				MulIntoParallel(dst, a, b)
-				if !bitEqual(dst, want) {
-					t.Errorf("goroutine %d iter %d: wrong product", g, iter)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-func TestSetWorkersClamp(t *testing.T) {
-	defer SetWorkers(1)
-	SetWorkers(-3)
-	if Workers() != 1 {
-		t.Fatalf("SetWorkers(-3): Workers() = %d, want 1", Workers())
-	}
-	SetWorkers(6)
-	if Workers() != 6 {
-		t.Fatalf("SetWorkers(6): Workers() = %d, want 6", Workers())
-	}
-}
-
+// TestMulIntoParallelShapePanics keeps the shape-mismatch cases written for
+// the removed pooled MulIntoParallel variant: every dim-8 product now runs
+// through MulInto's row-blocked kernel, which must reject the same shapes.
 func TestMulIntoParallelShapePanics(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -236,10 +174,10 @@ func TestMulIntoParallelShapePanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: MulIntoParallel did not panic", c.name)
+					t.Errorf("%s: MulInto did not panic", c.name)
 				}
 			}()
-			MulIntoParallel(c.dst, c.a, c.b)
+			MulInto(c.dst, c.a, c.b)
 		}()
 	}
 }

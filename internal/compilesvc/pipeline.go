@@ -351,12 +351,15 @@ func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq [
 		// the single chokepoint of the compile, circuit, and async-batch
 		// paths, so a batch's shared pass records its union as one
 		// co-occurrence window. Pure observation — no decision downstream
-		// of this call reads the ledger.
+		// of this call reads the ledger. The ledger span shows its share
+		// of the request in /debug/requests.
+		lsp := tr.StartSpan("ledger")
 		keys := make([]string, len(uniq))
 		for i, u := range uniq {
 			keys[i] = u.Key
 		}
 		ns.Usage.RecordRequest(keys)
+		lsp.End()
 	}
 	return entries
 }

@@ -11,6 +11,7 @@ package libstore
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"sort"
@@ -402,12 +403,17 @@ const (
 	OutcomeJoined
 )
 
+// ErrTrainPanic tags the error GetOrTrain returns when train panicked.
+var ErrTrainPanic = errors.New("libstore: training panicked")
+
 // GetOrTrain returns the cached entry for key, or runs train to produce
 // it. Concurrent callers for the same key are deduplicated: exactly one
 // executes train (OutcomeTrained), the rest block until it finishes and
 // share the result and its error (OutcomeJoined). A successful result is
 // inserted before any waiter is released, so a warm entry is immediately
-// visible to Get.
+// visible to Get. A panic in train is recovered into an ErrTrainPanic
+// failure like any other train error, so the key is released for a retry
+// instead of wedging every later caller.
 func (s *Store) GetOrTrain(key string, train func() (*precompile.Entry, error)) (*precompile.Entry, Outcome, error) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -434,7 +440,7 @@ func (s *Store) GetOrTrain(key string, train func() (*precompile.Entry, error)) 
 	sh.mu.Unlock()
 
 	s.trainings.Add(1)
-	entry, err := train()
+	entry, err := runTrain(key, train)
 	if err == nil && entry == nil {
 		err = fmt.Errorf("libstore: train returned no entry for %q", key)
 	}
@@ -455,6 +461,16 @@ func (s *Store) GetOrTrain(key string, train func() (*precompile.Entry, error)) 
 	c.entry, c.err = entry, err
 	close(c.done)
 	return entry, OutcomeTrained, err
+}
+
+// runTrain calls train, recovering a panic into an ErrTrainPanic error.
+func runTrain(key string, train func() (*precompile.Entry, error)) (entry *precompile.Entry, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			entry, err = nil, fmt.Errorf("%w for %q: %v", ErrTrainPanic, key, r)
+		}
+	}()
+	return train()
 }
 
 // Len returns the current entry count.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"accqoc/internal/gate"
 	"accqoc/internal/grape"
@@ -146,6 +147,64 @@ func TestGetOrTrainErrorNotCached(t *testing.T) {
 	got, outcome, err := s.GetOrTrain("key-0000", func() (*precompile.Entry, error) { return e, nil })
 	if err != nil || got != e || outcome != OutcomeTrained {
 		t.Fatalf("retry = %v, %v, %v", got, outcome, err)
+	}
+}
+
+// TestGetOrTrainPanicFailsClosed is the wedged-key regression: a train
+// function that panics must not leave its in-flight call installed. The
+// trainer and a caller that joined it both get a counted ErrTrainPanic
+// failure, nothing is cached, and the next call trains the key afresh.
+func TestGetOrTrainPanicFailsClosed(t *testing.T) {
+	s := New(Options{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	type result struct {
+		outcome Outcome
+		err     error
+	}
+	trainer, joiner := make(chan result, 1), make(chan result, 1)
+	go func() {
+		_, outcome, err := s.GetOrTrain("key-0003", func() (*precompile.Entry, error) {
+			close(entered)
+			<-release
+			panic("group unitary shape mismatch")
+		})
+		trainer <- result{outcome, err}
+	}()
+	<-entered
+	go func() {
+		_, outcome, err := s.GetOrTrain("key-0003", func() (*precompile.Entry, error) {
+			t.Error("joiner ran a second training")
+			return synthEntry(3), nil
+		})
+		joiner <- result{outcome, err}
+	}()
+	for s.Stats().DedupSuppressed == 0 {
+		time.Sleep(time.Millisecond) // until the joiner waits on the flight
+	}
+	close(release)
+	for name, ch := range map[string]chan result{"trainer": trainer, "joiner": joiner} {
+		select {
+		case r := <-ch:
+			want := OutcomeTrained
+			if name == "joiner" {
+				want = OutcomeJoined
+			}
+			if r.outcome != want || !errors.Is(r.err, ErrTrainPanic) {
+				t.Fatalf("%s = %v, %v; want outcome %v and ErrTrainPanic", name, r.outcome, r.err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still blocked: the key is wedged", name)
+		}
+	}
+	if st := s.Stats(); st.Trainings != 1 || st.TrainFailures != 1 || st.DedupSuppressed != 1 || st.Entries != 0 {
+		t.Fatalf("stats after panic = %+v, want 1 training, 1 failure, 1 joiner, 0 entries", st)
+	}
+	e, outcome, err := s.GetOrTrain("key-0003", func() (*precompile.Entry, error) { return synthEntry(3), nil })
+	if err != nil || outcome != OutcomeTrained || e == nil {
+		t.Fatalf("retry = %v, %v, %v; want a fresh training", e, outcome, err)
+	}
+	if _, ok := s.Get("key-0003"); !ok {
+		t.Fatal("retried entry not cached")
 	}
 }
 

@@ -302,7 +302,9 @@ func TestDebugRequestsSchema(t *testing.T) {
 			trained++
 		}
 	}
-	for _, want := range []string{"parse", "queue", "prepare", "plan", "train"} {
+	// The request files its keys with the usage ledger (on by default),
+	// so the ledger span must be there too.
+	for _, want := range []string{"parse", "queue", "prepare", "plan", "train", "ledger"} {
 		if !stages[want] {
 			t.Errorf("trace missing %q span (got %v)", want, stages)
 		}

@@ -21,10 +21,7 @@ package usage
 //
 // Results are deterministic: ties break on ascending key.
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // ringDecay is the per-window geometric age decay of the co-occurrence
 // vote: the window before last counts 0.85 of the last, and so on.
@@ -87,13 +84,13 @@ func (p *Predictor) Predict(window []string, topN int) []Prediction {
 	// Long-run prior from the pair table: counts between a window key and
 	// the candidate, as a fraction of all requests.
 	if l.requests > 0 {
-		for pk, n := range l.pairs {
-			a, b, _ := strings.Cut(pk, "\x00")
+		for _, s := range l.pairHeap {
+			a, b, n := s.key.a, s.key.b, float64(s.count)
 			switch {
 			case in[a] && !in[b]:
-				scores[b] += float64(n) / float64(l.requests)
+				scores[b] += n / float64(l.requests)
 			case in[b] && !in[a]:
-				scores[a] += float64(n) / float64(l.requests)
+				scores[a] += n / float64(l.requests)
 			}
 		}
 	}

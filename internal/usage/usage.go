@@ -24,7 +24,6 @@ package usage
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,7 +34,7 @@ import (
 type Options struct {
 	// HistorySize bounds the request-history ring. Default 256.
 	HistorySize int
-	// PairCap bounds the co-occurrence pair map. At capacity an unseen
+	// PairCap bounds the co-occurrence pair table. At capacity an unseen
 	// pair displaces the lowest-count pair (space-saving admission);
 	// DroppedPairs counts those displacements. Default 4096.
 	PairCap int
@@ -111,7 +110,10 @@ type Ledger struct {
 	ringNext int
 	requests int64
 
-	pairs        map[string]int64 // "keyA\x00keyB" with keyA < keyB
+	// pairs indexes the co-occurrence table by key pair; pairHeap holds
+	// the same slots as a min-heap in space-saving victim order.
+	pairs        map[pairKey]*pairSlot
+	pairHeap     pairHeap
 	droppedPairs int64
 
 	regretEvents     int64
@@ -127,7 +129,7 @@ func NewLedger(opts Options) *Ledger {
 		opts:  opts,
 		rows:  map[string]*row{},
 		ring:  make([]request, 0, opts.HistorySize),
-		pairs: map[string]int64{},
+		pairs: map[pairKey]*pairSlot{},
 	}
 }
 
@@ -263,36 +265,99 @@ func (l *Ledger) RecordRequest(keys []string) {
 			if kc[i] == kc[j] {
 				continue
 			}
-			pk := kc[i] + "\x00" + kc[j]
-			if _, ok := l.pairs[pk]; !ok && len(l.pairs) >= l.opts.PairCap {
-				// Space-saving admission: displace the lowest-count pair
-				// instead of refusing forever, and give the newcomer that
-				// count plus one (the classic overestimate) so a genuinely
-				// hot new pair climbs instead of being instantly re-evicted.
-				// DroppedPairs keeps counting the overflow churn.
-				l.pairs[pk] = l.evictColdestPairLocked() + 1
-				l.droppedPairs++
+			pk := pairKey{kc[i], kc[j]}
+			if s, ok := l.pairs[pk]; ok {
+				s.count++
+				l.pairHeap.down(s.at)
 				continue
 			}
-			l.pairs[pk]++
+			if len(l.pairHeap) < l.opts.PairCap {
+				s := &pairSlot{key: pk, count: 1}
+				l.pairs[pk] = s
+				l.pairHeap.push(s)
+				continue
+			}
+			// Space-saving admission: displace the lowest-count pair
+			// instead of refusing forever, and give the newcomer that
+			// count plus one (the classic overestimate) so a genuinely
+			// hot new pair climbs instead of being instantly re-evicted.
+			// DroppedPairs keeps counting the overflow churn. The victim
+			// is the heap root; its slot is reused for the newcomer.
+			s := l.pairHeap[0]
+			delete(l.pairs, s.key)
+			s.key = pk
+			s.count++
+			l.pairs[pk] = s
+			l.pairHeap.down(0)
+			l.droppedPairs++
 		}
 	}
 }
 
-// evictColdestPairLocked removes the lowest-count pair (ties: lexically
-// smallest key, for determinism) and returns its count. Callers hold l.mu
-// and guarantee the map is non-empty.
-func (l *Ledger) evictColdestPairLocked() int64 {
-	var minKey string
-	var minCount int64
-	first := true
-	for pk, n := range l.pairs {
-		if first || n < minCount || (n == minCount && pk < minKey) {
-			minKey, minCount, first = pk, n, false
-		}
+// pairKey is one unordered co-occurrence pair, a < b.
+type pairKey struct{ a, b string }
+
+// pairSlot is one pair-table row and its current index in the heap.
+type pairSlot struct {
+	key   pairKey
+	count int64
+	at    int
+}
+
+// pairLess is the space-saving victim order: lowest count first, ties on
+// the lexically smallest pair, so displacement is deterministic.
+func pairLess(x, y *pairSlot) bool {
+	if x.count != y.count {
+		return x.count < y.count
 	}
-	delete(l.pairs, minKey)
-	return minCount
+	if x.key.a != y.key.a {
+		return x.key.a < y.key.a
+	}
+	return x.key.b < y.key.b
+}
+
+// pairHeap is a binary min-heap of pair slots under pairLess that keeps
+// every slot's at field equal to its index, so a count change re-sifts
+// from the slot in O(log n) and the displacement victim is always h[0].
+type pairHeap []*pairSlot
+
+func (h *pairHeap) push(s *pairSlot) {
+	s.at = len(*h)
+	*h = append(*h, s)
+	h.up(s.at)
+}
+
+func (h pairHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !pairLess(h[i], h[p]) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h pairHeap) down(i int) {
+	for {
+		m := i
+		if c := 2*i + 1; c < len(h) && pairLess(h[c], h[m]) {
+			m = c
+		}
+		if c := 2*i + 2; c < len(h) && pairLess(h[c], h[m]) {
+			m = c
+		}
+		if m == i {
+			return
+		}
+		h.swap(i, m)
+		i = m
+	}
+}
+
+func (h pairHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].at, h[j].at = i, j
 }
 
 // Totals are the ledger-wide accumulated sums.
@@ -421,9 +486,8 @@ func (l *Ledger) Report(topN int) Report {
 	if topN > 0 && len(rep.Top) > topN {
 		rep.Top = rep.Top[:topN]
 	}
-	for pk, n := range l.pairs {
-		a, b, _ := strings.Cut(pk, "\x00")
-		rep.Pairs = append(rep.Pairs, PairCount{Keys: [2]string{a, b}, Count: n})
+	for _, s := range l.pairHeap {
+		rep.Pairs = append(rep.Pairs, PairCount{Keys: [2]string{s.key.a, s.key.b}, Count: s.count})
 	}
 	sort.Slice(rep.Pairs, func(i, j int) bool {
 		a, b := rep.Pairs[i], rep.Pairs[j]

@@ -2,6 +2,9 @@ package usage
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +211,105 @@ func TestLedgerPairDisplacement(t *testing.T) {
 	if rep.DroppedPairs != 1 {
 		t.Fatalf("dropped pairs = %d, want 1 displacement", rep.DroppedPairs)
 	}
+}
+
+// refPairTable is the pair table as it was before the heap, kept as the
+// reference model of TestPairHeapMatchesScan: a map keyed "a\x00b" whose
+// space-saving victim is found by scanning every pair for the lowest
+// (count, key).
+type refPairTable struct {
+	cap     int
+	counts  map[string]int64
+	dropped int64
+}
+
+func (r *refPairTable) record(keys []string) {
+	kc := append([]string(nil), keys...)
+	sort.Strings(kc)
+	for i := range kc {
+		for j := i + 1; j < len(kc); j++ {
+			if kc[i] == kc[j] {
+				continue
+			}
+			pk := kc[i] + "\x00" + kc[j]
+			if _, ok := r.counts[pk]; !ok && len(r.counts) >= r.cap {
+				r.counts[pk] = r.evictColdest() + 1
+				r.dropped++
+				continue
+			}
+			r.counts[pk]++
+		}
+	}
+}
+
+func (r *refPairTable) evictColdest() int64 {
+	var minKey string
+	var minCount int64
+	first := true
+	for pk, n := range r.counts {
+		if first || n < minCount || (n == minCount && pk < minKey) {
+			minKey, minCount, first = pk, n, false
+		}
+	}
+	delete(r.counts, minKey)
+	return minCount
+}
+
+// TestPairHeapMatchesScan is the differential test of the heap-indexed
+// pair table: seeded random request streams drive a Ledger and the
+// linear-scan reference side by side, and after every request the pair
+// counts and DroppedPairs must agree exactly and the heap must be a valid
+// min-heap whose slots know their own index. Small caps and key universes
+// keep the table displacing and the counts tied, and keys like k1/k10
+// put prefix pairs into the tie-breaks.
+func TestPairHeapMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pairCap := 1 + rng.Intn(40)
+		universe := make([]string, 2+rng.Intn(15))
+		for i := range universe {
+			universe[i] = "k" + strconv.Itoa(i)
+		}
+		l := NewLedger(Options{PairCap: pairCap})
+		ref := &refPairTable{cap: pairCap, counts: map[string]int64{}}
+		for req := 0; req < 300; req++ {
+			window := make([]string, 1+rng.Intn(8))
+			for i := range window {
+				window[i] = universe[rng.Intn(len(universe))]
+			}
+			l.RecordRequest(window)
+			ref.record(window)
+			if err := checkPairTable(l, ref); err != nil {
+				t.Fatalf("seed %d cap %d request %d %v: %v", seed, pairCap, req, window, err)
+			}
+		}
+	}
+}
+
+// checkPairTable compares a ledger's pair table with the reference and
+// checks the heap's order and index invariants.
+func checkPairTable(l *Ledger, ref *refPairTable) error {
+	if got := l.Stats().DroppedPairs; got != ref.dropped {
+		return fmt.Errorf("dropped pairs = %d, reference %d", got, ref.dropped)
+	}
+	if len(l.pairs) != len(ref.counts) || len(l.pairHeap) != len(l.pairs) {
+		return fmt.Errorf("pairs %d / heap %d, reference %d", len(l.pairs), len(l.pairHeap), len(ref.counts))
+	}
+	for pk, s := range l.pairs {
+		want, ok := ref.counts[pk.a+"\x00"+pk.b]
+		if !ok || s.count != want || s.key != pk {
+			return fmt.Errorf("pair %q,%q count %d, reference %d (present %v)", pk.a, pk.b, s.count, want, ok)
+		}
+	}
+	for i, s := range l.pairHeap {
+		if s.at != i || l.pairs[s.key] != s {
+			return fmt.Errorf("heap slot %d records index %d", i, s.at)
+		}
+		if p := (i - 1) / 2; i > 0 && pairLess(s, l.pairHeap[p]) {
+			return fmt.Errorf("heap slot %d orders before its parent %d", i, p)
+		}
+	}
+	return nil
 }
 
 // TestLedgerInterarrivalDuplicateTimestamps is the divisor-bias

@@ -82,20 +82,7 @@ func eigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, her
 	if len(out.Values) != n || out.Vectors.Rows != n || out.Vectors.Cols != n {
 		panic("cmat: EigenHermitianInto output dimension mismatch")
 	}
-	// max |aij| via squared magnitudes: one sqrt instead of n² hypots.
-	// Squaring under/overflows beyond ±~1e±154, where hypot does not —
-	// fall back to the exact form there so extreme-range inputs keep the
-	// old behavior.
-	var maxSq float64
-	for _, v := range a.Data {
-		if s := sqAbs(v); s > maxSq {
-			maxSq = s
-		}
-	}
-	scale := math.Sqrt(maxSq)
-	if maxSq == 0 || math.IsInf(maxSq, 1) {
-		scale = MaxAbs(a)
-	}
+	scale := hermitianScale(a)
 	if scale == 0 {
 		// Zero matrix: eigenvalues all zero, eigenvectors identity.
 		for i := range out.Values {
@@ -111,6 +98,36 @@ func eigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, her
 		eigenHermitian2x2(a, out)
 		return nil
 	}
+	rotate := jacobiRotate
+	if n == 4 {
+		rotate = jacobiRotate4
+	}
+	return jacobiInto(a, ws, out, scale, rotate)
+}
+
+// hermitianScale returns max |aij|, the scale of the solver's tolerances.
+func hermitianScale(a *Matrix) float64 {
+	// max |aij| via squared magnitudes: one sqrt instead of n² hypots.
+	// Squaring under/overflows beyond ±~1e±154, where hypot does not —
+	// fall back to the exact form there so extreme-range inputs keep the
+	// old behavior.
+	var maxSq float64
+	for _, v := range a.Data {
+		if s := sqAbs(v); s > maxSq {
+			maxSq = s
+		}
+	}
+	if maxSq == 0 || math.IsInf(maxSq, 1) {
+		return MaxAbs(a)
+	}
+	return math.Sqrt(maxSq)
+}
+
+// jacobiInto diagonalizes the nonzero Hermitian a, whose largest element
+// magnitude is scale, with the thresholded cyclic Jacobi method, zeroing
+// each off-diagonal pair with rotate.
+func jacobiInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, scale float64, rotate func(w, v *Matrix, p, q int)) error {
+	n := a.Rows
 	if ws.w.Rows != n {
 		panic("cmat: EigenHermitianInto workspace dimension mismatch")
 	}
@@ -141,7 +158,7 @@ func eigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, her
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
 				if sqAbs(w.Data[p*n+q]) > skip2 {
-					jacobiRotate(w, v, p, q)
+					rotate(w, v, p, q)
 				}
 			}
 		}
@@ -155,12 +172,11 @@ func eigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, her
 	return ErrNoConvergence
 }
 
-// jacobiRotate applies a single complex Jacobi rotation zeroing w[p][q]
-// (and w[q][p]) of the Hermitian working matrix w, accumulating the
-// rotation into v so that original = v·w·v† is preserved.
-func jacobiRotate(w, v *Matrix, p, q int) {
-	n := w.Rows
-	apq := w.Data[p*n+q]
+// jacobiAngle returns the complex Jacobi rotation zeroing the off-diagonal
+// element apq of the 2×2 Hermitian subproblem [[app, apq], [conj(apq), aqq]]:
+// U = [[c, sp], [−spc, c]] with sp = s·phase and spc = conj(sp). ok is false
+// when apq is exactly zero and there is nothing to rotate.
+func jacobiAngle(apq complex128, app, aqq float64) (c float64, sp, spc complex128, ok bool) {
 	// sqrt of the squared magnitude on the hot path; hypot only when the
 	// square under- or overflows.
 	s2 := sqAbs(apq)
@@ -171,13 +187,11 @@ func jacobiRotate(w, v *Matrix, p, q int) {
 		r = math.Hypot(real(apq), imag(apq))
 	}
 	if r == 0 {
-		return
+		return 0, 0, 0, false
 	}
 	// Phase factor so that conj(phase)*apq is real positive.
 	rinv := 1 / r
 	phase := complex(real(apq)*rinv, imag(apq)*rinv)
-	app := real(w.Data[p*n+p])
-	aqq := real(w.Data[q*n+q])
 
 	// Stable computation of tan θ for the real symmetric 2×2 subproblem
 	// [[app, r],[r, aqq]] (Golub & Van Loan §8.5).
@@ -188,41 +202,51 @@ func jacobiRotate(w, v *Matrix, p, q int) {
 	} else {
 		t = -1 / (-theta + math.Sqrt(1+theta*theta))
 	}
-	c := 1 / math.Sqrt(1+t*t)
+	c = 1 / math.Sqrt(1+t*t)
 	s := t * c
+	sp = complex(s, 0) * phase
+	return c, sp, complex(real(sp), -imag(sp)), true
+}
 
+// jacobiRotate applies a single complex Jacobi rotation zeroing w[p][q]
+// (and w[q][p]) of the Hermitian working matrix w, accumulating the
+// rotation into v so that original = v·w·v† is preserved.
+func jacobiRotate(w, v *Matrix, p, q int) {
+	n := w.Rows
+	c, sp, spc, ok := jacobiAngle(w.Data[p*n+q], real(w.Data[p*n+p]), real(w.Data[q*n+q]))
+	if !ok {
+		return
+	}
 	// The full 2×2 unitary is U = [[c, s·phase], [−s·conj(phase), c]] applied
 	// as w ← U† w U on rows/columns p and q. c is real, so the c-terms are
 	// scaled componentwise rather than through a full complex multiply.
 	// Column update for all rows i:
 	//   w[i][p] ← c·w[i][p] − s·conj(phase)·w[i][q]
 	//   w[i][q] ← s·phase·w[i][p_old] + c·w[i][q]
-	sp := complex(s, 0) * phase
-	spc := complex(real(sp), -imag(sp))
 	for i := 0; i < n; i++ {
-		wip := w.Data[i*n+p]
-		wiq := w.Data[i*n+q]
-		w.Data[i*n+p] = complex(c*real(wip), c*imag(wip)) - spc*wiq
-		w.Data[i*n+q] = sp*wip + complex(c*real(wiq), c*imag(wiq))
+		rotatePair(&w.Data[i*n+p], &w.Data[i*n+q], c, sp, spc)
 	}
 	// Row update: w ← U† w, i.e.
 	//   w[p][j] ← c·w[p][j] − s·phase·w[q][j] (conjugated transform)
 	for j := 0; j < n; j++ {
-		wpj := w.Data[p*n+j]
-		wqj := w.Data[q*n+j]
-		w.Data[p*n+j] = complex(c*real(wpj), c*imag(wpj)) - sp*wqj
-		w.Data[q*n+j] = spc*wpj + complex(c*real(wqj), c*imag(wqj))
+		rotatePair(&w.Data[p*n+j], &w.Data[q*n+j], c, spc, sp)
 	}
 	// Accumulate eigenvectors: v ← v·U.
 	for i := 0; i < n; i++ {
-		vip := v.Data[i*n+p]
-		viq := v.Data[i*n+q]
-		v.Data[i*n+p] = complex(c*real(vip), c*imag(vip)) - spc*viq
-		v.Data[i*n+q] = sp*vip + complex(c*real(viq), c*imag(viq))
+		rotatePair(&v.Data[i*n+p], &v.Data[i*n+q], c, sp, spc)
 	}
 	// Clean the rotated pair to exactly zero to aid convergence detection.
 	w.Data[p*n+q] = 0
 	w.Data[q*n+p] = 0
+}
+
+// rotatePair rotates one element pair of the rotated rows or columns:
+// a ← c·a − y·b and b ← x·a + c·b, with both right-hand sides read before
+// either is written.
+func rotatePair(a, b *complex128, c float64, x, y complex128) {
+	ai, bi := *a, *b
+	*a = complex(c*real(ai), c*imag(ai)) - y*bi
+	*b = x*ai + complex(c*real(bi), c*imag(bi))
 }
 
 // finishHermitian extracts sorted eigenvalues into out and reorders

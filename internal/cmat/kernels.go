@@ -7,7 +7,8 @@ import "math"
 // multiplies and diagonalizes matrices of exactly these shapes, so MulInto
 // and EigenHermitianInto dispatch to the unrolled forms below. The kernels
 // accumulate products left to right in ascending-index order, matching the
-// generic loops, so results are numerically identical across paths.
+// generic loops, so results are numerically identical across paths; the
+// 4×4 Jacobi rotation likewise repeats the generic rotation's operations.
 
 // mul2x2 computes dst = a·b for row-major 2×2 complex matrices. Slices must
 // not alias.
@@ -85,4 +86,35 @@ func eigenHermitian2x2(a *Matrix, out *HermitianEigen) {
 		v.Data[1] = b * inv
 		v.Data[3] = complex(r-delta, 0) * inv
 	}
+}
+
+// jacobiRotate4 is jacobiRotate for n = 4, over fixed-size arrays with the
+// three update loops unrolled: the same floating-point operations in the
+// same order, so its results are bit-identical to the generic rotation's,
+// minus the loop and bounds-check overhead that dominates a 4×4 rotation.
+func jacobiRotate4(wm, vm *Matrix, p, q int) {
+	w, v := (*[16]complex128)(wm.Data), (*[16]complex128)(vm.Data)
+	p, q = p&3, q&3 // no-ops for 0 ≤ p < q < 4 that prove every index below in range
+	pr, qr := 4*p, 4*q
+	c, sp, spc, ok := jacobiAngle(w[pr+q], real(w[pr+p]), real(w[qr+q]))
+	if !ok {
+		return
+	}
+	rotatePair(&w[p], &w[q], c, sp, spc)
+	rotatePair(&w[4+p], &w[4+q], c, sp, spc)
+	rotatePair(&w[8+p], &w[8+q], c, sp, spc)
+	rotatePair(&w[12+p], &w[12+q], c, sp, spc)
+
+	rotatePair(&w[pr], &w[qr], c, spc, sp)
+	rotatePair(&w[pr+1], &w[qr+1], c, spc, sp)
+	rotatePair(&w[pr+2], &w[qr+2], c, spc, sp)
+	rotatePair(&w[pr+3], &w[qr+3], c, spc, sp)
+
+	rotatePair(&v[p], &v[q], c, sp, spc)
+	rotatePair(&v[4+p], &v[4+q], c, sp, spc)
+	rotatePair(&v[8+p], &v[8+q], c, sp, spc)
+	rotatePair(&v[12+p], &v[12+q], c, sp, spc)
+
+	w[pr+q] = 0
+	w[qr+p] = 0
 }

@@ -188,7 +188,11 @@ func (p *Pool) resolve(ns *devreg.Namespace, resp *CompileResponse, entries map[
 			sp.Key = u.Key
 			sp.Outcome = outcomeString(outcome)
 			sp.Coalesced = outcome == libstore.OutcomeJoined
-			if outcome == libstore.OutcomeTrained && err == nil {
+			if err != nil {
+				// An unreachable bracket or a recovered train panic.
+				sp.Outcome = "failed"
+				sp.Error = err.Error()
+			} else if outcome == libstore.OutcomeTrained {
 				sp.Iterations = e.Iterations
 				sp.Infidelity = e.Infidelity
 				if seeded {

@@ -11,7 +11,9 @@ import (
 // End-to-end compilation benches: the serving-path unit of work behind
 // every /v1/compile cache miss. Restarts are disabled so iterations (and
 // therefore work) are identical across runs; b.ReportAllocs exposes the
-// steady-state allocation behavior of the evaluation core.
+// steady-state allocation behavior of the evaluation core. Each reports
+// its optimizer iterations (iters) and line-search trial points (evals),
+// both deterministic.
 
 func benchCompile(b *testing.B, sys *hamiltonian.System, g gate.Name, duration float64, opts Options) {
 	b.Helper()
@@ -27,6 +29,7 @@ func benchCompile(b *testing.B, sys *hamiltonian.System, g gate.Name, duration f
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Iterations), "iters")
+		b.ReportMetric(float64(res.FuncEvals), "evals")
 	}
 }
 

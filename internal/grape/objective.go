@@ -19,9 +19,10 @@ import (
 // newObjective and reused across every optimizer call, so steady-state
 // Evaluate/Gradient calls allocate nothing. The forward pass (per-segment
 // eigendecompositions, propagators and cumulative products) is cached by
-// input vector: when the optimizer evaluates the cost at x and then asks
-// for the gradient at the same x — the accepted point of every line search
-// — the propagation is not repeated. Per-segment buffers are indexed by
+// input vector: the line search prices every trial point with Evaluate and
+// asks for the gradient at the same x only where it reads the slope or
+// accepts the point (the optimize.Objective call protocol), and that
+// Gradient call repeats no propagation. Per-segment buffers are indexed by
 // segment, so the forward pass can run its independent segments on a
 // bounded set of workers (Options.Parallel) with no locking and
 // bit-identical results to the sequential path.

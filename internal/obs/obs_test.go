@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -213,6 +214,31 @@ func TestTraceSpansAndNilSafety(t *testing.T) {
 	}
 	if tr.DurationMs <= 0 || tr.Status != 200 || tr.Device != "devA" {
 		t.Fatalf("trace: %+v", tr)
+	}
+}
+
+// TestSpanJSON pins a train span's encoding: a successful training
+// serializes exactly as it did before spans could carry an error, and a
+// failed one adds only the error text.
+func TestSpanJSON(t *testing.T) {
+	trained := &Span{Name: "train", StartUs: 12, DurationUs: 3400, Key: "k1", Outcome: "trained",
+		Iterations: 42, Infidelity: 0.0025, SeedDistance: -1}
+	failed := &Span{Name: "train", StartUs: 12, DurationUs: 3400, Key: "k2", Outcome: "failed",
+		Error: "grape: target unreachable"}
+	for _, c := range []struct {
+		sp   *Span
+		want string
+	}{
+		{trained, `{"name":"train","start_us":12,"duration_us":3400,"key":"k1","outcome":"trained","iterations":42,"infidelity":0.0025,"seed_distance":-1}`},
+		{failed, `{"name":"train","start_us":12,"duration_us":3400,"key":"k2","outcome":"failed","error":"grape: target unreachable"}`},
+	} {
+		got, err := json.Marshal(c.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("span JSON\n got %s\nwant %s", got, c.want)
+		}
 	}
 }
 

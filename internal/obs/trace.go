@@ -40,8 +40,12 @@ type Span struct {
 	// Key is the canonical group key for per-group training spans.
 	Key string `json:"key,omitempty"`
 	// Outcome is the store outcome for training spans: "trained",
-	// "joined" (coalesced behind a concurrent training), "hit".
+	// "joined" (coalesced behind a concurrent training), "hit", or
+	// "failed" (the training, this request's or the one it joined,
+	// returned an error; Error carries it).
 	Outcome string `json:"outcome,omitempty"`
+	// Error is the failed training's error text.
+	Error string `json:"error,omitempty"`
 	// Iterations is the optimizer iteration count for trained groups.
 	Iterations int `json:"iterations,omitempty"`
 	// Infidelity is the final 1-F of the trained pulse.

@@ -7,6 +7,10 @@ import "math"
 // starts at the identity and is reset whenever the curvature condition
 // fails badly.
 func MinimizeBFGS(obj Objective, x0 []float64, opts Options) *Result {
+	return minimizeBFGS(obj, x0, opts, wolfeLineSearch)
+}
+
+func minimizeBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSearchFunc) *Result {
 	opts = opts.withDefaults()
 	st := newRunState(opts)
 	n := len(x0)
@@ -60,11 +64,10 @@ func MinimizeBFGS(obj Objective, x0 []float64, opts Options) *Result {
 				dir[i] = -grad[i]
 			}
 		}
-		alpha, newCost, ok := wolfeLineSearch(obj, st, x, dir, cost, grad, xNew, gradNew)
+		newCost, ok := lineSearch(obj, st, x, dir, cost, grad, xNew, gradNew)
 		if !ok {
 			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Reason: "line search failed"}
 		}
-		_ = alpha
 		for i := 0; i < n; i++ {
 			s[i] = xNew[i] - x[i]
 			y[i] = gradNew[i] - grad[i]
@@ -116,6 +119,10 @@ func updateInverseHessian(hInv, s, y, hy []float64, sy float64, n int) {
 
 // MinimizeLBFGS runs limited-memory BFGS with the two-loop recursion.
 func MinimizeLBFGS(obj Objective, x0 []float64, opts Options) *Result {
+	return minimizeLBFGS(obj, x0, opts, wolfeLineSearch)
+}
+
+func minimizeLBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSearchFunc) *Result {
 	opts = opts.withDefaults()
 	st := newRunState(opts)
 	n := len(x0)
@@ -171,7 +178,7 @@ func MinimizeLBFGS(obj Objective, x0 []float64, opts Options) *Result {
 				dir[i] = -grad[i]
 			}
 		}
-		_, newCost, ok := wolfeLineSearch(obj, st, x, dir, cost, grad, xNew, gradNew)
+		newCost, ok := lineSearch(obj, st, x, dir, cost, grad, xNew, gradNew)
 		if !ok {
 			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Reason: "line search failed"}
 		}
@@ -208,61 +215,90 @@ func MinimizeLBFGS(obj Objective, x0 []float64, opts Options) *Result {
 	return &Result{X: x, Cost: cost, Iterations: opts.MaxIterations, FuncEvals: st.evals, Reason: "iteration cap"}
 }
 
+// lineSearchFunc is the step-length search BFGS and L-BFGS share. On
+// success xNew/gradNew hold the accepted point and its gradient, and the
+// point's cost is returned. It is a parameter only so tests can run the
+// optimizers against a reference model of the search.
+type lineSearchFunc func(obj Objective, st *runState, x, dir []float64, f0 float64, g0 []float64, xNew, gradNew []float64) (cost float64, ok bool)
+
+// trialPoints prices the points x + a·dir of one line search into xNew and
+// gradNew. The search reads the slope of every point it returns, so
+// gradNew then holds that point's gradient.
+type trialPoints struct {
+	obj           Objective
+	st            *runState
+	x, dir        []float64
+	xNew, gradNew []float64
+}
+
+// cost moves xNew to x + a·dir and returns its cost. Only the cost: most
+// trial points fail sufficient decrease and never need their slope.
+func (tp *trialPoints) cost(a float64) float64 {
+	for i := range tp.x {
+		tp.xNew[i] = tp.x[i] + a*tp.dir[i]
+	}
+	tp.st.evals++
+	return tp.obj.Evaluate(tp.xNew)
+}
+
+// slope fills gradNew at xNew and returns the directional derivative.
+func (tp *trialPoints) slope() float64 {
+	tp.obj.Gradient(tp.xNew, tp.gradNew)
+	return dot(tp.gradNew, tp.dir)
+}
+
 // wolfeLineSearch finds a step along dir satisfying the strong Wolfe
-// conditions (c1 = 1e-4, c2 = 0.9). On success xNew/gradNew hold the new
-// point and its gradient, and the new cost is returned.
-func wolfeLineSearch(obj Objective, st *runState, x, dir []float64, f0 float64, g0 []float64, xNew, gradNew []float64) (alpha, cost float64, ok bool) {
+// conditions (c1 = 1e-4, c2 = 0.9). Trial points are priced with
+// obj.Evaluate; obj.Gradient runs at the same point only when the search
+// reads its slope or returns it (see Objective). On success xNew/gradNew
+// hold the new point and its gradient, and the new cost is returned.
+func wolfeLineSearch(obj Objective, st *runState, x, dir []float64, f0 float64, g0 []float64, xNew, gradNew []float64) (float64, bool) {
 	const c1, c2 = 1e-4, 0.9
 	const maxSteps = 25
 	d0 := dot(g0, dir)
 	if d0 >= 0 {
-		return 0, f0, false
+		return f0, false
 	}
-	eval := func(a float64) (float64, float64) {
-		for i := range x {
-			xNew[i] = x[i] + a*dir[i]
-		}
-		c := obj.Gradient(xNew, gradNew)
-		st.evals++
-		return c, dot(gradNew, dir)
-	}
+	tp := &trialPoints{obj: obj, st: st, x: x, dir: dir, xNew: xNew, gradNew: gradNew}
 
 	var alphaPrev, fPrev float64 = 0, f0
 	alphaCur := 1.0
-	var fCur, dCur float64
+	var fCur float64
 	for i := 0; i < maxSteps; i++ {
-		fCur, dCur = eval(alphaCur)
+		fCur = tp.cost(alphaCur)
 		if fCur > f0+c1*alphaCur*d0 || (i > 0 && fCur >= fPrev) {
-			return zoom(obj, st, x, dir, f0, d0, alphaPrev, fPrev, alphaCur, eval, xNew, gradNew)
+			return zoom(tp, f0, d0, alphaPrev, fPrev, alphaCur)
 		}
+		dCur := tp.slope()
 		if math.Abs(dCur) <= -c2*d0 {
-			return alphaCur, fCur, true
+			return fCur, true
 		}
 		if dCur >= 0 {
-			return zoom(obj, st, x, dir, f0, d0, alphaCur, fCur, alphaPrev, eval, xNew, gradNew)
+			return zoom(tp, f0, d0, alphaCur, fCur, alphaPrev)
 		}
 		alphaPrev, fPrev = alphaCur, fCur
 		alphaCur *= 2
 	}
-	// Accept the last point if it at least decreases the cost.
+	// Accept the last point (whose slope was read) if it at least
+	// decreases the cost.
 	if fCur < f0 {
-		return alphaCur, fCur, true
+		return fCur, true
 	}
-	return 0, f0, false
+	return f0, false
 }
 
 // zoom is the interval-refinement phase of the Wolfe search (N&W Alg 3.6).
-func zoom(obj Objective, st *runState, x, dir []float64, f0, d0, lo, fLo, hi float64,
-	eval func(float64) (float64, float64), xNew, gradNew []float64) (float64, float64, bool) {
+func zoom(tp *trialPoints, f0, d0, lo, fLo, hi float64) (float64, bool) {
 	const c1, c2 = 1e-4, 0.9
 	for i := 0; i < 30; i++ {
 		a := (lo + hi) / 2
-		f, d := eval(a)
+		f := tp.cost(a)
 		if f > f0+c1*a*d0 || f >= fLo {
 			hi = a
 		} else {
+			d := tp.slope()
 			if math.Abs(d) <= -c2*d0 {
-				return a, f, true
+				return f, true
 			}
 			if d*(hi-lo) >= 0 {
 				hi = lo
@@ -271,17 +307,18 @@ func zoom(obj Objective, st *runState, x, dir []float64, f0, d0, lo, fLo, hi flo
 		}
 		if math.Abs(hi-lo) < 1e-14 {
 			if f < f0 {
-				return a, f, true
+				tp.slope()
+				return f, true
 			}
 			break
 		}
 	}
 	// Final attempt: return lo if it improves on f0.
-	f, _ := eval(lo)
-	if f < f0 {
-		return lo, f, true
+	if f := tp.cost(lo); f < f0 {
+		tp.slope()
+		return f, true
 	}
-	return 0, f0, false
+	return f0, false
 }
 
 func dot(a, b []float64) float64 {

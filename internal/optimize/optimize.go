@@ -15,6 +15,15 @@ import (
 // Objective is a smooth function with gradient. Gradient fills grad (which
 // has len(x)) and returns the cost at x, so single-pass implementations can
 // share work between value and derivative.
+//
+// Call protocol of the BFGS and L-BFGS line search: Evaluate runs at every
+// trial point, and Gradient runs at that same x only when the search needs
+// the slope there (a point passing sufficient decrease) or accepts it — on
+// the GRAPE objective about one trial point in three. Implementations whose
+// value and gradient share a forward pass should therefore cache it by x,
+// so the later Gradient pays only for the derivative. Evaluate(x) must
+// return exactly Gradient(x, ·)'s cost, or the search's decisions depend
+// on which of the two priced a point.
 type Objective interface {
 	Evaluate(x []float64) float64
 	Gradient(x, grad []float64) float64

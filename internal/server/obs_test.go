@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"accqoc/internal/grape"
 )
 
 // exposition is a parsed /metrics scrape: family types plus every sample
@@ -311,6 +314,91 @@ func TestDebugRequestsSchema(t *testing.T) {
 	}
 	if trained == 0 {
 		t.Error("cold compile recorded no trained spans")
+	}
+}
+
+// TestFailedTrainingTracedAsFailed pins how a training that returns an
+// error shows in /debug/requests: with a 2Q bracket no pulse can reach,
+// the CX group's train span says "failed" and carries the error, while the
+// same request's successful 1Q train spans serialize exactly as before
+// (no error key).
+func TestFailedTrainingTracedAsFailed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains pulses; skipped in -short")
+	}
+	opts := fastOpts()
+	opts.Precompile.Grape.MaxIterations = 40
+	opts.Precompile.Search2Q = grape.SearchOptions{MinDuration: 5, MaxDuration: 10, Resolution: 5}
+	s := New(Config{Compile: opts, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	const prog = `OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+cx q[0],q[1];
+rz(0.4) q[2];
+h q[2];
+`
+	resp, code := postCompile(t, ts.URL, CompileRequest{QASM: prog})
+	if code != http.StatusOK {
+		t.Fatalf("compile status %d", code)
+	}
+	if resp.FailedGroups == 0 {
+		t.Fatal("the unreachable 2Q group did not fail")
+	}
+
+	dr, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dr.Body.Close()
+	var out struct {
+		Recent []struct {
+			Spans []json.RawMessage `json:"spans"`
+		} `json:"recent"`
+	}
+	if err := json.NewDecoder(dr.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Recent) != 1 {
+		t.Fatalf("%d recent traces, want 1", len(out.Recent))
+	}
+	var failed, trained int
+	for _, raw := range out.Recent[0].Spans {
+		var sp map[string]any
+		if err := json.Unmarshal(raw, &sp); err != nil {
+			t.Fatal(err)
+		}
+		if sp["name"] != "train" {
+			continue
+		}
+		switch sp["outcome"] {
+		case "failed":
+			failed++
+			if msg, _ := sp["error"].(string); !strings.Contains(msg, "unreachable") {
+				t.Errorf("failed span error = %q, want the unreachable-bracket error", msg)
+			}
+			if _, ok := sp["iterations"]; ok {
+				t.Errorf("failed span reports iterations: %s", raw)
+			}
+		case "trained":
+			trained++
+			var keys []string
+			for k := range sp {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			want := []string{"duration_us", "infidelity", "iterations", "key", "name", "outcome", "seed_distance", "start_us"}
+			if !reflect.DeepEqual(keys, want) {
+				t.Errorf("trained span keys = %v, want %v", keys, want)
+			}
+		default:
+			t.Errorf("unexpected train span outcome in %s", raw)
+		}
+	}
+	if failed != 1 || trained == 0 {
+		t.Fatalf("%d failed and %d trained train spans, want 1 and some", failed, trained)
 	}
 }
 

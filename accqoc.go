@@ -31,16 +31,11 @@ import (
 	"accqoc/internal/cmat"
 	"accqoc/internal/crosstalk"
 	"accqoc/internal/gatepulse"
-	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
-	"accqoc/internal/hamiltonian"
 	"accqoc/internal/latency"
 	"accqoc/internal/mapping"
 	"accqoc/internal/precompile"
-	"accqoc/internal/pulse"
 	"accqoc/internal/seedindex"
-	"accqoc/internal/simgraph"
-	"accqoc/internal/similarity"
 	"accqoc/internal/topology"
 )
 
@@ -171,9 +166,7 @@ func (c *Compiler) Profile(programs []*circuit.Circuit) (*ProfileResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	cfg := c.opts.Precompile
-	cfg.UseMST = true
-	lib, stats, err := precompile.Build(uniq, cfg)
+	lib, stats, err := precompile.Build(uniq, c.opts.Precompile)
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +192,7 @@ func (c *Compiler) ProfileParallel(programs []*circuit.Circuit, workers int) (*P
 	if err != nil {
 		return nil, err
 	}
-	cfg := c.opts.Precompile
-	res, err := precompile.ParallelBuild(uniq, cfg, workers)
+	res, err := precompile.ParallelBuild(uniq, c.opts.Precompile, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -325,15 +317,17 @@ func (c *Compiler) Compile(prog *circuit.Circuit) (*CompileResult, error) {
 	res.UncoveredUnique = len(uncovered)
 
 	// Train uncovered groups (§V-B/C): MST order with warm starts, with
-	// library pulses as additional seeds for identity-rooted vertices.
+	// library pulses as seeds for identity-rooted steps.
 	start := time.Now()
-	if len(uncovered) > 0 {
-		sortUnique(uncovered)
-		iters, terr := c.trainUncovered(uncovered)
-		if terr != nil {
-			return nil, terr
+	sortUnique(uncovered)
+	steps, err := precompile.Plan(uncovered, c.opts.Precompile.Similarity)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range precompile.Execute(steps, c.opts.Precompile, compilerStore{c}) {
+		if e != nil {
+			res.TrainingIterations += e.Iterations
 		}
-		res.TrainingIterations = iters
 	}
 	res.TrainingTime = time.Since(start)
 
@@ -377,116 +371,35 @@ func GateFallbackNs(g *grouping.Group, cal topology.Calibration) float64 {
 	return sum
 }
 
-// trainUncovered compiles the uncovered unique groups per size class in
-// similarity-MST order and installs the results into the library. It
-// returns the summed GRAPE iterations.
-func (c *Compiler) trainUncovered(uncovered []*grouping.UniqueGroup) (int, error) {
-	cfg := c.opts.Precompile
-	fn := cfg.Similarity
-	if fn == "" {
-		fn = similarity.TraceFid
-	}
-	bySize := map[int][]*grouping.UniqueGroup{}
-	for _, u := range uncovered {
-		bySize[u.NumQubits] = append(bySize[u.NumQubits], u)
-	}
-	totalIters := 0
-	for _, size := range sortedSizes(bySize) {
-		class := bySize[size]
-		sys, err := hamiltonian.ForQubits(size, cfg.Ham)
-		if err != nil {
-			return totalIters, err
-		}
-		us := make([]*cmat.Matrix, len(class))
-		for i, g := range class {
-			u, uerr := g.Group.Unitary()
-			if uerr != nil {
-				return totalIters, uerr
-			}
-			us[i] = canonicalUnitary(u)
-		}
-		var steps []simgraph.Step
-		if len(class) > 1 {
-			sg, serr := simgraph.Build(us, fn)
-			if serr != nil {
-				return totalIters, serr
-			}
-			mst, merr := sg.PrimMST(0)
-			if merr != nil {
-				return totalIters, merr
-			}
-			steps = mst.CompilationSequence()
-		} else {
-			steps = simgraph.ColdSequence(len(class))
-		}
+// compilerStore is Compile's Store for the executor: the compiler's
+// library, with its seed index lending identity-rooted steps their seeds.
+type compilerStore struct{ c *Compiler }
 
-		gopts := cfg.Grape
-		if gopts.TargetInfidelity == 0 {
-			gopts.TargetInfidelity = 1e-3
-		}
-		if gopts.MaxIterations == 0 {
-			gopts.MaxIterations = 600
-		}
-		gopts.Segments = precompile.SegmentsFor(size)
-		sopts := searchFor(cfg, size)
-
-		trained := make([]*pulse.Pulse, len(class))
-		durations := make([]float64, len(class))
-		warmTol := similarity.WarmThreshold(fn, sys.Dim)
-		for _, step := range steps {
-			var seed *pulse.Pulse
-			stepSopts := sopts
-			if step.WarmFrom >= 0 && trained[step.WarmFrom] != nil {
-				stepSopts.HintDuration = durations[step.WarmFrom]
-				if step.Distance <= warmTol {
-					seed = trained[step.WarmFrom]
-				}
-			} else {
-				// Identity-rooted: seed from the closest covered library
-				// pulse when one is similar enough (§V-C). Its latency
-				// doubles as the binary-search bracket hint.
-				var hint float64
-				seed, hint = c.librarySeed(us[step.Group], size)
-				stepSopts.HintDuration = hint
-			}
-			sres, cerr := grape.CompileBinarySearch(sys, us[step.Group], gopts, stepSopts, seed)
-			if cerr != nil {
-				// Unreachable in the bracket — leave uncovered; Compile's
-				// latency fallback prices it gate-based.
-				continue
-			}
-			totalIters += sres.TotalIterations
-			trained[step.Group] = sres.Pulse
-			durations[step.Group] = sres.Duration
-			entry := &precompile.Entry{
-				Key:        class[step.Group].Key,
-				NumQubits:  size,
-				Pulse:      sres.Pulse,
-				LatencyNs:  sres.Duration,
-				Iterations: sres.TotalIterations,
-				Frequency:  class[step.Group].Count,
-				Infidelity: sres.Infidelity,
-			}
-			c.lib.Entries[entry.Key] = entry
-			// Index under the training target (within TargetInfidelity of
-			// the achieved unitary) so the insert costs no propagation and
-			// later groups in this same compilation can seed from it.
-			c.seeds.InsertWithUnitary(entry, us[step.Group])
-		}
+// GetOrTrain trains g unless the library covers it. The result is indexed
+// under its training target (within TargetInfidelity of the achieved
+// unitary), so the insert costs no propagation and later steps of the
+// same compilation can seed from it.
+func (s compilerStore) GetOrTrain(g *grouping.UniqueGroup, train func() (*precompile.Trained, error)) (*precompile.Entry, error) {
+	if e, ok := s.c.lib.Entries[g.Key]; ok {
+		return e, nil
 	}
-	return totalIters, nil
+	t, err := train()
+	if err != nil {
+		// Unreachable in the bracket — left uncovered; Compile's latency
+		// fallback prices it gate-based.
+		return nil, err
+	}
+	s.c.lib.Entries[g.Key] = t.Entry
+	s.c.seeds.InsertWithUnitary(t.Entry, t.Target)
+	return t.Entry, nil
 }
 
-// librarySeed finds the most similar covered pulse of the same size via
-// the seed index, admitted under similarity.WarmThreshold for the
-// compiler's similarity function — the admission scale is function- and
-// dimension-dependent (a fixed cut-off silently rejected every L1/L2
-// neighbor of multi-qubit groups). It returns the pulse and its latency
-// (the binary-search hint), or (nil, 0).
-func (c *Compiler) librarySeed(u *cmat.Matrix, size int) (*pulse.Pulse, float64) {
-	seed, ok := c.seeds.Nearest(u, size)
+// Nearest finds the most similar covered pulse of the same size, admitted
+// under similarity.WarmThreshold for the compiler's similarity function.
+func (s compilerStore) Nearest(u *cmat.Matrix, numQubits int) (*precompile.Entry, float64, bool) {
+	seed, ok := s.c.seeds.Nearest(u, numQubits)
 	if !ok {
-		return nil, 0
+		return nil, 0, false
 	}
-	return seed.Pulse, seed.LatencyNs
+	return &precompile.Entry{Key: seed.Key, NumQubits: numQubits, Pulse: seed.Pulse, LatencyNs: seed.LatencyNs}, seed.Distance, true
 }

@@ -247,7 +247,7 @@ func TestSetLibraryRoundTrip(t *testing.T) {
 }
 
 // TestLibrarySeedL1AdmitsSimilar2QNeighbor is the regression for the
-// fixed librarySeed threshold: it used a flat 0.5 cut-off for every
+// fixed library-seed threshold: it used a flat 0.5 cut-off for every
 // similarity function, but entry-wise L1 distances between 4×4 unitaries
 // live on a ~d·√d scale (WarmThreshold(L1, 4) = 2.0), so genuinely
 // similar 2Q neighbors were silently rejected. The test builds a library
@@ -263,8 +263,8 @@ func TestLibrarySeedL1AdmitsSimilar2QNeighbor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A handmade (untrained) pulse is fine: librarySeed only compares the
-	// entry's achieved unitary with the query.
+	// A handmade (untrained) pulse is fine: the seed lookup only compares
+	// the entry's achieved unitary with the query.
 	p := pulse.New(sys.ControlNames, 16, 10)
 	for ch := range p.Amps {
 		for s := range p.Amps[ch] {
@@ -306,13 +306,14 @@ func TestLibrarySeedL1AdmitsSimilar2QNeighbor(t *testing.T) {
 		t.Fatal("could not construct a query in the regression window")
 	}
 
-	seed, hint := c.librarySeed(query, 2)
-	if seed == nil {
+	store := compilerStore{c}
+	seed, _, ok := store.Nearest(query, 2)
+	if !ok {
 		t.Fatalf("L1 neighbor at distance %.3f (old cut-off %.1f, correct threshold %.1f) rejected as seed",
 			dist, oldThreshold, newThreshold)
 	}
-	if hint != p.Duration() {
-		t.Fatalf("seed hint %v, want entry latency %v", hint, p.Duration())
+	if seed.LatencyNs != p.Duration() {
+		t.Fatalf("seed hint %v, want entry latency %v", seed.LatencyNs, p.Duration())
 	}
 
 	// Sanity: a maximally dissimilar query is still rejected under the
@@ -323,7 +324,54 @@ func TestLibrarySeedL1AdmitsSimilar2QNeighbor(t *testing.T) {
 		row[3-i] = 1i
 		rows = append(rows, row)
 	}
-	if far, _ := c.librarySeed(cmat.FromRows(rows), 2); far != nil {
+	if _, _, ok := store.Nearest(cmat.FromRows(rows), 2); ok {
 		t.Fatal("anti-diagonal unitary admitted as L1 seed")
+	}
+}
+
+// TestCompileTrainingsCarryProvenance pins that Compile's trainings stamp
+// their cost provenance and notify the observer exactly once per trained
+// entry, like the serving path's: TrainWallNs is positive, and Seeded
+// agrees with what the observer was told.
+func TestCompileTrainingsCarryProvenance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains pulses; skipped in -short")
+	}
+	opts := fastOptions(topology.Linear(3))
+	calls, seededCalls := 0, 0
+	opts.Precompile.Observer = func(_, _ int, _ float64, seeded bool) {
+		calls++
+		if seeded {
+			seededCalls++
+		}
+	}
+	c := New(opts)
+	first := circuit.New(3)
+	first.MustAppend(gate.RX, []int{0}, 0.5)
+	first.MustAppend(gate.RY, []int{2}, 1.0)
+	first.MustAppend(gate.CX, []int{0, 1})
+	second := circuit.New(3)
+	second.MustAppend(gate.RX, []int{0}, 0.6)
+	second.MustAppend(gate.RY, []int{2}, 1.1)
+	for _, prog := range []*circuit.Circuit{first, second} {
+		if _, err := c.Compile(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := c.Library().Entries
+	if calls != len(entries) {
+		t.Fatalf("observer saw %d trainings for %d entries", calls, len(entries))
+	}
+	seeded := 0
+	for k, e := range entries {
+		if e.TrainWallNs <= 0 {
+			t.Fatalf("entry %.24s… has no training wall time", k)
+		}
+		if e.Seeded {
+			seeded++
+		}
+	}
+	if seeded == 0 || seeded != seededCalls {
+		t.Fatalf("%d entries marked seeded, observer saw %d seeded trainings", seeded, seededCalls)
 	}
 }

@@ -6,9 +6,7 @@ import (
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/gatepulse"
-	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
-	"accqoc/internal/hamiltonian"
 	"accqoc/internal/latency"
 	"accqoc/internal/precompile"
 )
@@ -72,39 +70,17 @@ func (c *Compiler) CompileBruteForce(prog *circuit.Circuit, bopts BruteForceOpti
 	}
 
 	res := &BruteForceResult{Groups: len(gr.Groups), UniqueGroups: len(uniq)}
-	cfg := c.opts.Precompile
 	latencyByKey := map[string]float64{}
 	start := time.Now()
 	for _, u := range uniq {
-		size := u.NumQubits
-		sys, serr := hamiltonian.ForQubits(size, cfg.Ham)
-		if serr != nil {
-			return nil, serr
-		}
-		target, uerr := u.Group.Unitary()
-		if uerr != nil {
-			return nil, uerr
-		}
-		gopts := cfg.Grape
-		if gopts.TargetInfidelity == 0 {
-			gopts.TargetInfidelity = 1e-3
-		}
-		if gopts.MaxIterations == 0 {
-			gopts.MaxIterations = 600
-		}
-		gopts.Segments = precompile.SegmentsFor(size)
-		sres, cerr := grape.CompileBinarySearch(sys, precompile.CanonicalUnitary(target), gopts, searchFor(cfg, size), nil)
-		if cerr != nil {
+		e, terr := precompile.TrainGroup(u, c.opts.Precompile, nil)
+		if terr != nil {
 			// Price the group gate-based; brute force keeps going.
-			var sum float64
-			for _, g := range u.Group.Gates {
-				sum += gatepulse.GateLatency(g.Name, c.opts.Device.Calibration)
-			}
-			latencyByKey[u.Key] = sum
+			latencyByKey[u.Key] = c.gateFallbackNs(u.Group)
 			continue
 		}
-		res.TrainingIterations += sres.TotalIterations
-		latencyByKey[u.Key] = sres.Duration
+		res.TrainingIterations += e.Iterations
+		latencyByKey[u.Key] = e.LatencyNs
 	}
 	res.TrainingTime = time.Since(start)
 

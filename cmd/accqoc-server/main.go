@@ -14,7 +14,6 @@
 //	accqoc-server -device melbourne -devices linear5,grid2x3   # multi-device serving
 //	accqoc-server -calibration-file cal.json                   # SIGHUP re-reads → new epoch
 //	accqoc-server -pprof localhost:6060   # expose net/http/pprof for live profiling
-//	accqoc-server -seed-index=false       # train cache misses cold (A/B baseline)
 //	accqoc-server -job-ttl 1h -job-cap 4096  # async job ledger sizing
 //	accqoc-server -async-jobs=false       # refuse ?async=1 submissions
 //	accqoc-server -log-format json        # structured JSON logs for pipelines
@@ -27,9 +26,8 @@
 // GET /debug/requests, and an X-Request-Id header on every response,
 // echoed in request-path log records.
 //
-// Cache misses warm-start by default: uncovered groups are MST-ordered
-// per request and seeded from the similarity index over covered library
-// entries (-seed-index=false disables).
+// Cache misses warm-start: uncovered groups are MST-ordered per request
+// and seeded from the similarity index over covered library entries.
 //
 // A calibration event — POST /v1/devices/{name}/calibrate, or SIGHUP with
 // -calibration-file pointing at a JSON CalibrationUpdate — opens a new
@@ -94,8 +92,6 @@ func main() {
 	maxIter := flag.Int("max-iter", 600, "GRAPE iteration cap per optimization")
 	grapeParallel := flag.Int("grape-parallel", 0,
 		"per-segment GRAPE workers per training (0 = auto: sequential when the request pool has >1 worker; negative = always sequential)")
-	seedIndex := flag.Bool("seed-index", true,
-		"warm-start cache-miss trainings from the similarity seed index (MST-ordered per request); false trains misses cold")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060 (empty = disabled)")
 	logFormat := flag.String("log-format", "text", "structured log output: text | json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
@@ -107,7 +103,7 @@ func main() {
 	cachePolicy := flag.String("cache-policy", "lru",
 		"library eviction policy: lru (historical behavior) | cost (evict the lowest iterations*hits score from the usage ledger; requires -usage)")
 	prefetch := flag.Bool("prefetch", false,
-		"speculatively re-train predicted-miss keys during idle cycles, strictly below request traffic (requires -usage; works best with -seed-index)")
+		"speculatively re-train predicted-miss keys during idle cycles, strictly below request traffic, each warm-seeded from the similarity seed index when a similar entry is covered (requires -usage)")
 	prefetchEvery := flag.Duration("prefetch-interval", 50*time.Millisecond, "prefetcher idle-cycle period")
 	prefetchDepth := flag.Int("prefetch-depth", 4, "ranked predictions examined per device per prefetch cycle")
 	flag.Parse()
@@ -239,7 +235,6 @@ func main() {
 		JobTTL:               *jobTTL,
 		JobCap:               *jobCap,
 		MaxGates:             *maxGates,
-		DisableSeedIndex:     !*seedIndex,
 		DisableObservability: !*observability,
 		DisableUsage:         !*usageAcct,
 		UsageHistorySize:     *usageHistory,
@@ -383,7 +378,7 @@ func main() {
 		logger.Info("accqoc-server listening",
 			"component", "main", "addr", *addr, "device", dev.Name,
 			"extra_devices", len(extras), "policy", policy.Name,
-			"shards", *shards, "seed_index", *seedIndex, "observability", *observability)
+			"shards", *shards, "observability", *observability)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal("listen failed", "addr", *addr, "error", err.Error())
 		}

@@ -3,10 +3,7 @@ package accqoc
 import (
 	"sort"
 
-	"accqoc/internal/cmat"
-	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
-	"accqoc/internal/precompile"
 )
 
 // sortUnique orders unique groups by descending frequency then key, for
@@ -18,22 +15,4 @@ func sortUnique(us []*grouping.UniqueGroup) {
 		}
 		return us[i].Key < us[j].Key
 	})
-}
-
-// sortedSizes returns map keys ascending.
-func sortedSizes(m map[int][]*grouping.UniqueGroup) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func canonicalUnitary(u *cmat.Matrix) *cmat.Matrix {
-	return precompile.CanonicalUnitary(u)
-}
-
-func searchFor(cfg precompile.Config, size int) grape.SearchOptions {
-	return cfg.SearchFor(size)
 }

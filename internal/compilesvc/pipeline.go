@@ -1,16 +1,14 @@
 package compilesvc
 
-// This file is the extracted plan/execute core of the serving pipeline:
-// Prepare, a stats-neutral coverage plan that MST-orders a request's
-// cache misses (§V-C), singleflight training along the tree edges with
-// warm-start seeds from the namespace's similarity index, and Algorithm 3
-// latency assembly. It moved here verbatim from internal/server when the
-// stack split into routing and training tiers; the only addition is the
-// optional per-key outcome tally that lets a shared async-batch pass
-// rebuild per-request counters afterwards.
+// This file is the plan/execute core of the serving pipeline: Prepare, a
+// stats-neutral coverage plan that MST-orders a request's cache misses
+// with precompile.Plan (§V-C), precompile.Execute training along the tree
+// edges through the namespace store's singleflight with warm-start seeds
+// from its similarity index, and Algorithm 3 latency assembly. An
+// optional per-key outcome tally lets a shared async-batch pass rebuild
+// per-request counters afterwards.
 
 import (
-	"sort"
 	"time"
 
 	"accqoc"
@@ -22,112 +20,7 @@ import (
 	"accqoc/internal/libstore"
 	"accqoc/internal/obs"
 	"accqoc/internal/precompile"
-	"accqoc/internal/simgraph"
-	"accqoc/internal/similarity"
 )
-
-// trainStep is one planned cold training: a unique group, its canonical
-// target unitary, and its warm-start edge from the similarity MST.
-type trainStep struct {
-	// cold indexes the request's cold set; trained results are recorded
-	// under it so MST children can find their parent's entry.
-	cold    int
-	uniq    *grouping.UniqueGroup
-	unitary *cmat.Matrix
-	// warmFrom is the MST parent's cold index, -1 when the group is
-	// rooted at the identity (then the seed index supplies the anchor).
-	warmFrom int
-	// warmDist is the MST edge weight to warmFrom.
-	warmDist float64
-}
-
-// planColdSteps orders a request's uncovered unique groups for training:
-// per size class, a Prim MST over the similarity graph (identity-rooted,
-// §V-C) fixes both the order and the warm-start edges, exactly as the
-// batch pre-compilation does — but over the live miss set of one
-// request. Singleton classes train directly. Classes are planned in
-// ascending size for determinism.
-func planColdSteps(cold []*grouping.UniqueGroup, fn similarity.Func) ([]trainStep, error) {
-	if len(cold) == 0 {
-		return nil, nil
-	}
-	us := make([]*cmat.Matrix, len(cold))
-	bySize := map[int][]int{}
-	for i, u := range cold {
-		m, err := u.Group.Unitary()
-		if err != nil {
-			return nil, err
-		}
-		us[i] = precompile.CanonicalUnitary(m)
-		bySize[u.NumQubits] = append(bySize[u.NumQubits], i)
-	}
-	sizes := make([]int, 0, len(bySize))
-	for sz := range bySize {
-		sizes = append(sizes, sz)
-	}
-	sort.Ints(sizes)
-
-	steps := make([]trainStep, 0, len(cold))
-	for _, sz := range sizes {
-		idxs := bySize[sz]
-		if len(idxs) == 1 {
-			i := idxs[0]
-			steps = append(steps, trainStep{cold: i, uniq: cold[i], unitary: us[i], warmFrom: -1})
-			continue
-		}
-		classUs := make([]*cmat.Matrix, len(idxs))
-		for j, i := range idxs {
-			classUs[j] = us[i]
-		}
-		g, err := simgraph.Build(classUs, fn)
-		if err != nil {
-			return nil, err
-		}
-		mst, err := g.PrimMST(0)
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range mst.CompilationSequence() {
-			i := idxs[st.Group]
-			warm := -1
-			if st.WarmFrom >= 0 {
-				warm = idxs[st.WarmFrom]
-			}
-			steps = append(steps, trainStep{
-				cold: i, uniq: cold[i], unitary: us[i],
-				warmFrom: warm, warmDist: st.Distance,
-			})
-		}
-	}
-	return steps, nil
-}
-
-// seedFor picks the warm start for one cold step: the MST parent when it
-// trained earlier in this request (its pulse admitted under
-// WarmThreshold, its latency always transferring as the binary-search
-// hint), otherwise the nearest covered entry from the namespace's seed
-// index (which, during a calibration roll, chains to the previous
-// epoch's). Called only from inside the training closure, so
-// planned-but-hit groups never pay for a lookup.
-func seedFor(ns *devreg.Namespace, fn similarity.Func, st trainStep, trained []*precompile.Entry) (*precompile.Entry, float64) {
-	if st.warmFrom >= 0 {
-		if prev := trained[st.warmFrom]; prev != nil {
-			seed := &precompile.Entry{NumQubits: st.uniq.NumQubits, LatencyNs: prev.LatencyNs}
-			if st.warmDist <= similarity.WarmThreshold(fn, st.unitary.Rows) {
-				seed.Pulse = prev.Pulse
-			}
-			return seed, st.warmDist
-		}
-	}
-	if sd, ok := ns.Seeds.Nearest(st.unitary, st.uniq.NumQubits); ok {
-		return &precompile.Entry{
-			NumQubits: st.uniq.NumQubits,
-			Pulse:     sd.Pulse,
-			LatencyNs: sd.LatencyNs,
-		}, sd.Distance
-	}
-	return nil, 0
-}
 
 // keyOutcome records how one unique key resolved during a shared pass,
 // so per-request counters can be rebuilt from a batch's union resolve.
@@ -139,34 +32,38 @@ type keyOutcome struct {
 	seedDist   float64
 }
 
-// resolve fetches or trains one unique group through the namespace
-// store's singleflight and updates the response counters. plan, when
-// non-nil, supplies the warm-start seed, its distance, and the group's
-// canonical target unitary; it is consulted only if this call actually
-// executes the training (a hit or a joined in-flight training never
-// evaluates it). A returned unitary pre-indexes the freshly trained entry
-// under its target so the store hook's propagation is skipped (the index
-// dedups on pulse identity). tally, when non-nil, additionally records
-// the per-key outcome for batch accounting.
-func (p *Pool) resolve(ns *devreg.Namespace, resp *CompileResponse, entries map[string]*precompile.Entry, u *grouping.UniqueGroup, cfg precompile.Config, plan func() (*precompile.Entry, float64, *cmat.Matrix), tr *obs.Trace, tally map[string]*keyOutcome) *precompile.Entry {
+// resolver is the serving path's Store for the executor: the namespace
+// store's singleflight and seed index, plus one resolve pass's response
+// counters, train spans and batch tally.
+type resolver struct {
+	p       *Pool
+	ns      *devreg.Namespace
+	resp    *CompileResponse
+	entries map[string]*precompile.Entry
+	tr      *obs.Trace
+	// tally, when non-nil, records per-key outcomes for batch accounting.
+	tally map[string]*keyOutcome
+}
+
+// GetOrTrain fetches or trains one unique group through the namespace
+// store's singleflight and updates the response counters. train runs only
+// if this call actually executes the training (a hit or a joined
+// in-flight training never evaluates it). A fresh entry is pre-indexed
+// under its training target, so the store hook's propagation is skipped
+// (the index dedups on pulse identity).
+func (r *resolver) GetOrTrain(u *grouping.UniqueGroup, train func() (*precompile.Trained, error)) (*precompile.Entry, error) {
 	var seedDist float64
 	var seeded bool
-	sp := tr.StartSpan("train")
-	e, outcome, err := ns.Store.GetOrTrain(u.Key, func() (*precompile.Entry, error) {
-		var seed *precompile.Entry
-		var unitary *cmat.Matrix
-		if plan != nil {
-			var d float64
-			seed, d, unitary = plan()
-			if seed != nil && seed.Pulse != nil {
-				seeded, seedDist = true, d
-			}
+	resp := r.resp
+	sp := r.tr.StartSpan("train")
+	e, outcome, err := r.ns.Store.GetOrTrain(u.Key, func() (*precompile.Entry, error) {
+		t, terr := train()
+		if terr != nil {
+			return nil, terr
 		}
-		trained, terr := precompile.TrainGroup(u, cfg, seed)
-		if terr == nil && ns.Seeds != nil && unitary != nil {
-			ns.Seeds.InsertWithUnitary(trained, unitary)
-		}
-		return trained, terr
+		r.ns.Seeds.InsertWithUnitary(t.Entry, t.Target)
+		seeded, seedDist = t.Entry.Seeded, t.SeedDistance
+		return t.Entry, nil
 	})
 	if outcome == libstore.OutcomeHit {
 		resp.CoveredGroups += u.Count
@@ -181,7 +78,7 @@ func (p *Pool) resolve(ns *devreg.Namespace, resp *CompileResponse, entries map[
 			if seeded {
 				resp.WarmSeeded++
 				resp.seedDistanceSum += seedDist
-				p.warmSeeded.Add(1)
+				r.p.warmSeeded.Add(1)
 			}
 		}
 		if sp != nil {
@@ -204,22 +101,42 @@ func (p *Pool) resolve(ns *devreg.Namespace, resp *CompileResponse, entries map[
 			sp.End()
 		}
 	}
-	if tally != nil {
+	if r.tally != nil {
 		ko := &keyOutcome{outcome: outcome, failed: err != nil}
 		if outcome == libstore.OutcomeTrained && err == nil {
 			ko.iterations = e.Iterations
 			ko.seeded = seeded
 			ko.seedDist = seedDist
 		}
-		tally[u.Key] = ko
+		r.tally[u.Key] = ko
 	}
 	if err != nil {
 		// Unreachable within the bracket: price it gate-based below.
 		resp.FailedGroups++
-		return nil
+		return nil, err
 	}
-	entries[u.Key] = e
-	return e
+	r.entries[u.Key] = e
+	return e, nil
+}
+
+// Nearest looks up the closest covered entry in the namespace's seed
+// index, which during a calibration roll chains to the previous epoch's.
+func (r *resolver) Nearest(u *cmat.Matrix, numQubits int) (*precompile.Entry, float64, bool) {
+	sd, ok := r.ns.Seeds.Nearest(u, numQubits)
+	if !ok {
+		return nil, 0, false
+	}
+	return &precompile.Entry{Key: sd.Key, NumQubits: numQubits, Pulse: sd.Pulse, LatencyNs: sd.LatencyNs}, sd.Distance, true
+}
+
+// rootedSteps makes each group an identity-rooted step whose target is
+// built only if it trains.
+func rootedSteps(groups []*grouping.UniqueGroup) []precompile.Step {
+	steps := make([]precompile.Step, len(groups))
+	for i, u := range groups {
+		steps[i] = precompile.Step{Group: u, WarmFrom: -1}
+	}
+	return steps
 }
 
 // compile runs the serving-side pipeline for one namespace in a
@@ -272,75 +189,39 @@ func (p *Pool) compile(prog *circuit.Circuit, ns *devreg.Namespace, tr *obs.Trac
 // resolveGroups is the shared resolution core of the compile and circuit
 // paths: every unique group of a request resolves against the namespace
 // store — a warm key is a hit, a cold key trains exactly once across all
-// concurrent requests (singleflight), MST-ordered with warm-start seeds
-// when the seed index is on. It fills the response's coverage, training
-// and seeding counters and returns the resolved entries by key. tally,
-// when non-nil, records per-key outcomes for batch accounting.
+// concurrent requests (singleflight), in MST order with warm-start seeds.
+// It fills the response's coverage, training and seeding counters and
+// returns the resolved entries by key. tally, when non-nil, records
+// per-key outcomes for batch accounting.
 func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq []*grouping.UniqueGroup, tr *obs.Trace, tally map[string]*keyOutcome) map[string]*precompile.Entry {
-	entries := make(map[string]*precompile.Entry, len(uniq))
+	r := &resolver{p: p, ns: ns, resp: resp, entries: make(map[string]*precompile.Entry, len(uniq)), tr: tr, tally: tally}
 	cfg := ns.Comp.Options().Precompile
-	simFn := ns.SimilarityFn()
-	switch {
-	case ns.Seeds == nil:
-		// Index disabled: resolve in deduplication order with cold
-		// random-init trainings — the pre-index serving path, preserved
-		// byte for byte.
-		for _, u := range uniq {
-			p.resolve(ns, resp, entries, u, cfg, nil, tr, tally)
-		}
-	default:
-		// Plan: partition into covered and cold without touching
-		// counters or LRU order, then MST-order the cold set.
-		psp := tr.StartSpan("plan")
-		var covered, cold []*grouping.UniqueGroup
-		for _, u := range uniq {
-			if ns.Store.Contains(u.Key) {
-				covered = append(covered, u)
-			} else {
-				cold = append(cold, u)
-			}
-		}
-		steps, perr := planColdSteps(cold, simFn)
-		psp.End()
-		if perr != nil {
-			// Planning must never fail a request harder than the legacy
-			// path would: the same defect (an unbuildable group unitary,
-			// a broken similarity function) surfaces inside TrainGroup
-			// on the legacy path, where the group is priced gate-based
-			// and counted in failed_groups. Fall back to exactly that.
-			for _, u := range uniq {
-				p.resolve(ns, resp, entries, u, cfg, nil, tr, tally)
-			}
-			break
-		}
-		// Execute: covered keys resolve as hits first, then the cold
-		// set trains along the tree edges; every trained group becomes
-		// a seed candidate for its MST children later in this request.
-		for _, u := range covered {
-			u := u
-			// A hit never evaluates the closure; it exists for the rare
-			// key evicted between plan and execute, which then trains as
-			// an identity-rooted step (index-seeded) instead of cold.
-			p.resolve(ns, resp, entries, u, cfg, func() (*precompile.Entry, float64, *cmat.Matrix) {
-				m, uerr := u.Group.Unitary()
-				if uerr != nil {
-					return nil, 0, nil
-				}
-				cu := precompile.CanonicalUnitary(m)
-				seed, d := seedFor(ns, simFn, trainStep{uniq: u, unitary: cu, warmFrom: -1}, nil)
-				return seed, d, cu
-			}, tr, tally)
-		}
-		trained := make([]*precompile.Entry, len(cold))
-		for _, st := range steps {
-			st := st
-			trained[st.cold] = p.resolve(ns, resp, entries, st.uniq, cfg,
-				func() (*precompile.Entry, float64, *cmat.Matrix) {
-					seed, d := seedFor(ns, simFn, st, trained)
-					return seed, d, st.unitary
-				}, tr, tally)
+	// Plan: partition into covered and cold without touching counters or
+	// LRU order, then MST-order the cold set.
+	psp := tr.StartSpan("plan")
+	var covered, cold []*grouping.UniqueGroup
+	for _, u := range uniq {
+		if ns.Store.Contains(u.Key) {
+			covered = append(covered, u)
+		} else {
+			cold = append(cold, u)
 		}
 	}
+	steps, perr := precompile.Plan(cold, ns.SimilarityFn())
+	if perr != nil {
+		// Planning must never fail a request: the same defect (a broken
+		// similarity function) would otherwise surface inside training,
+		// where the group is priced gate-based and counted in
+		// failed_groups. Train the cold set identity-rooted instead.
+		steps = rootedSteps(cold)
+	}
+	psp.End()
+	// Execute: covered keys resolve as hits first — a key evicted between
+	// plan and execute trains as an identity-rooted step (index-seeded) —
+	// then the cold set trains along the tree edges; every trained group
+	// becomes a seed candidate for its MST children later in this request.
+	precompile.Execute(rootedSteps(covered), cfg, r)
+	precompile.Execute(steps, cfg, r)
 	if resp.WarmSeeded > 0 {
 		resp.SeedDistance = resp.seedDistanceSum / float64(resp.WarmSeeded)
 	}
@@ -365,7 +246,7 @@ func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq [
 		ns.Usage.RecordRequest(keys)
 		lsp.End()
 	}
-	return entries
+	return r.entries
 }
 
 // recompileOne executes one cross-epoch recompilation item on a worker:
@@ -388,13 +269,11 @@ func (p *Pool) recompileOne(roll *devreg.Roll, it *devreg.RecompItem) {
 			return nil, terr
 		}
 		iters = e.Iterations
-		if ns.Seeds != nil {
-			// Pre-index under the known target so the store hook skips
-			// its propagation (same zero-propagation invariant as the
-			// serving path).
-			ns.Seeds.InsertWithUnitary(e, it.Unitary)
-		}
-		return e, terr
+		// Pre-index under the known target so the store hook skips its
+		// propagation (same zero-propagation invariant as the serving
+		// path).
+		ns.Seeds.InsertWithUnitary(e, it.Unitary)
+		return e, nil
 	})
 	switch {
 	case outcome == libstore.OutcomeTrained && err == nil:

@@ -294,9 +294,10 @@ func (p *Pool) prefetch(it *prefetchItem) error {
 // queue pressure (abandon if request traffic queued behind the
 // speculation), then train the key toward its retained target through the
 // store's singleflight, warm-seeded from the live seed index when a
-// similar covered entry admits. The retained target supplies the unitary
-// and the duration hint — never a pulse, so a prefetched key pays the
-// same training a miss would, just off the request path.
+// similar covered entry admits. The retained target supplies only the
+// unitary: an admitted seed lends its pulse and its latency as the search
+// hint, and an unseeded key trains cold with no hint — the same training
+// a miss would pay, just off the request path.
 func (p *Pool) prefetchOne(it *prefetchItem) {
 	if len(p.tasks) > 0 {
 		it.outcome = prefetchAbandoned
@@ -308,12 +309,10 @@ func (p *Pool) prefetchOne(it *prefetchItem) {
 		return
 	}
 	_, outcome, err := ns.Store.GetOrTrain(it.key, func() (*precompile.Entry, error) {
-		seed := &precompile.Entry{Key: it.key, NumQubits: it.tgt.NumQubits, LatencyNs: it.tgt.LatencyNs}
-		if ns.Seeds != nil {
-			if sd, ok := ns.Seeds.Nearest(it.tgt.Unitary, it.tgt.NumQubits); ok {
-				seed.Pulse = sd.Pulse
-				seed.LatencyNs = sd.LatencyNs
-			}
+		seed := &precompile.Entry{Key: it.key, NumQubits: it.tgt.NumQubits}
+		if sd, ok := ns.Seeds.Nearest(it.tgt.Unitary, it.tgt.NumQubits); ok {
+			seed.Pulse = sd.Pulse
+			seed.LatencyNs = sd.LatencyNs
 		}
 		it.seeded = seed.Pulse != nil
 		e, terr := precompile.RetrainEntry(seed, it.tgt.Unitary, ns.Comp.Options().Precompile)
@@ -321,9 +320,7 @@ func (p *Pool) prefetchOne(it *prefetchItem) {
 			return nil, terr
 		}
 		it.iters = e.Iterations
-		if ns.Seeds != nil {
-			ns.Seeds.InsertWithUnitary(e, it.tgt.Unitary)
-		}
+		ns.Seeds.InsertWithUnitary(e, it.tgt.Unitary)
 		return e, nil
 	})
 	switch {

@@ -76,11 +76,6 @@ type Config struct {
 	Base accqoc.Options
 	// StoreOptions configure each namespace's pulse store.
 	StoreOptions libstore.Options
-	// DisableSeedIndex turns off per-namespace seed indexes. Without an
-	// index a calibration event still opens a new epoch, but there is no
-	// recompilation plan (the index is where each entry's training target
-	// is cached) — misses simply train cold in the new epoch.
-	DisableSeedIndex bool
 	// SeedObserver, when set, is installed on every namespace's seed index
 	// (seedindex.Index.SetObserver): it sees each nearest-seed lookup's
 	// candidate distance and admission verdict — the observability tap for
@@ -101,8 +96,7 @@ type Config struct {
 	CachePolicy string
 	// EnablePrefetch retains per-device training targets (TargetCache)
 	// past eviction so the speculative-training driver can re-train
-	// predicted misses. Without a seed index targets are never learned and
-	// prefetch has nothing to train from.
+	// predicted misses.
 	EnablePrefetch bool
 	// PrefetchTargetCap bounds each device's target cache. Default 1024.
 	PrefetchTargetCap int
@@ -126,8 +120,8 @@ type Namespace struct {
 	Comp *accqoc.Compiler
 	// Store is the epoch's pulse library.
 	Store *libstore.Store
-	// Seeds is the epoch's warm-start index, nil when disabled. During a
-	// roll its parent link points at the previous epoch's index.
+	// Seeds is the epoch's warm-start index. During a roll its parent link
+	// points at the previous epoch's index.
 	Seeds *seedindex.Index
 	// CreatedAt is when the namespace (the calibration epoch) opened —
 	// the anchor for epoch-age gauges.
@@ -261,7 +255,7 @@ func (d *deviceState) maybeRetire(ns *Namespace) {
 		d.draining = nil
 		// The old epoch is gone: cut the successor's cross-epoch seed
 		// link so retired pulses stop competing as seeds.
-		if d.current != nil && d.current.Seeds != nil {
+		if d.current != nil {
 			d.current.Seeds.SetParent(nil)
 		}
 	}
@@ -369,8 +363,8 @@ func (r *Registry) Current(name string) (*Namespace, error) {
 }
 
 // newNamespace wires one (device, epoch) serving context: compiler, store,
-// and (unless disabled) a hook-coherent seed index whose parent is the
-// previous epoch's index.
+// and a hook-coherent seed index whose parent is the previous epoch's
+// index.
 func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *seedindex.Index, store *libstore.Store) *Namespace {
 	opts := r.cfg.Base
 	opts.Device = p.Device
@@ -392,40 +386,30 @@ func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *se
 	if d.policy != nil {
 		store.SetEvictionPolicy(d.policy)
 	}
-	var seeds *seedindex.Index
-	if !r.cfg.DisableSeedIndex {
-		seeds = seedindex.New(ns.SimilarityFn(), p.Ham)
-		seeds.SetParent(parent)
-		if r.cfg.SeedObserver != nil {
-			seeds.SetObserver(r.cfg.SeedObserver)
-		}
+	seeds := seedindex.New(ns.SimilarityFn(), p.Ham)
+	seeds.SetParent(parent)
+	if r.cfg.SeedObserver != nil {
+		seeds.SetObserver(r.cfg.SeedObserver)
 	}
 	// Hook first, backfill second: entries racing in between are
 	// delivered twice (idempotent in both the index and the ledger),
 	// never missed. The tee keeps the seed index and the device's usage
 	// ledger coherent off one registration; access (hit/miss) events
 	// reach only the ledger.
-	var hooks []libstore.Hook
-	if seeds != nil {
-		hooks = append(hooks, seeds)
-	}
+	hooks := []libstore.Hook{seeds}
 	if d.usage != nil {
 		hooks = append(hooks, d.usage)
 	}
-	if d.targets != nil && seeds != nil {
+	if d.targets != nil {
 		// After the seed index on purpose: the recorder reads the unitary
 		// the index just cached for the same EntryAdded.
 		hooks = append(hooks, &targetRecorder{seeds: seeds, targets: d.targets})
 	}
-	if hook := libstore.TeeHooks(hooks...); hook != nil {
-		store.SetHook(hook)
-		snap := store.Snapshot()
-		if seeds != nil {
-			seeds.AddLibrary(snap)
-		}
-		if d.usage != nil {
-			d.usage.AddLibrary(snap)
-		}
+	store.SetHook(libstore.TeeHooks(hooks...))
+	snap := store.Snapshot()
+	seeds.AddLibrary(snap)
+	if d.usage != nil {
+		d.usage.AddLibrary(snap)
 	}
 	ns.Seeds = seeds
 	return ns
@@ -640,17 +624,11 @@ func (r *Registry) Calibrate(name string, u CalibrationUpdate) (*Roll, error) {
 	// Cap the cross-epoch chain at depth one: if an even older epoch is
 	// still draining it is beyond seeding usefulness now — cut the old
 	// epoch's parent link and let the stale namespace drain unobserved.
-	if old.Seeds != nil {
-		old.Seeds.SetParent(nil)
-	}
+	old.Seeds.SetParent(nil)
 	old.retiring.Store(true)
 
-	var parent *seedindex.Index
-	if old.Seeds != nil {
-		parent = old.Seeds
-	}
 	epoch := old.Epoch + 1
-	next := r.newNamespace(d, p, epoch, parent, nil)
+	next := r.newNamespace(d, p, epoch, old.Seeds, nil)
 	d.draining = old
 	d.current = next
 
@@ -660,22 +638,19 @@ func (r *Registry) Calibrate(name string, u CalibrationUpdate) (*Roll, error) {
 	roll := &Roll{Device: name, Epoch: epoch, Old: old, New: next, dev: d}
 	old.refs.Add(1)
 	next.refs.Add(1)
-	if old.Seeds != nil {
-		lib := old.Store.Snapshot()
-		for _, key := range old.Store.KeysByHits() {
-			e := lib.Entries[key]
-			if e == nil || e.Pulse == nil {
-				continue
-			}
-			tgt, ok := old.Seeds.Unitary(key)
-			if !ok {
-				// Not indexed (e.g. no physical model for its size):
-				// nothing to retrain toward; the group re-trains on first
-				// miss instead.
-				continue
-			}
-			roll.Plan = append(roll.Plan, RecompItem{Key: key, Old: e, Unitary: tgt})
+	lib := old.Store.Snapshot()
+	for _, key := range old.Store.KeysByHits() {
+		e := lib.Entries[key]
+		if e == nil || e.Pulse == nil {
+			continue
 		}
+		tgt, ok := old.Seeds.Unitary(key)
+		if !ok {
+			// Not indexed (e.g. no physical model for its size): nothing
+			// to retrain toward; the group re-trains on first miss instead.
+			continue
+		}
+		roll.Plan = append(roll.Plan, RecompItem{Key: key, Old: e, Unitary: tgt})
 	}
 	d.roll = RollStatus{Active: true, Epoch: epoch, Planned: len(roll.Plan)}
 	d.mu.Unlock()

@@ -328,28 +328,6 @@ func TestRollSuperseded(t *testing.T) {
 	roll1.Finish()
 }
 
-func TestDisabledSeedIndexRollHasNoPlan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains pulses; skipped in -short")
-	}
-	r, err := New(Config{Base: fastBase(), DisableSeedIndex: true},
-		Profile{Name: "lin3", Device: topology.Linear(3)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, _ := r.Acquire("")
-	trainInto(t, ns, twoRxProgram)
-	ns.Release()
-	roll, err := r.Calibrate("", CalibrationUpdate{DriftPct: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer roll.Finish()
-	if roll.New.Seeds != nil || len(roll.Plan) != 0 {
-		t.Fatalf("disabled index produced seeds=%v plan=%d", roll.New.Seeds, len(roll.Plan))
-	}
-}
-
 func TestRegistryAdoptsPreloadedStore(t *testing.T) {
 	store := libstore.New(libstore.Options{})
 	r, err := New(Config{Base: fastBase()}, Profile{Name: "lin3", Device: topology.Linear(3)}, store)

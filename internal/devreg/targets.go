@@ -9,8 +9,8 @@ package devreg
 // semantics, independent of calibration — the same reuse RecompItem makes
 // across an epoch roll).
 //
-// Deliberately cached: key, size, unitary, and the last trained latency
-// (the pulse-duration search hint). Deliberately NOT cached: the pulse.
+// Deliberately cached: key, size and unitary. Deliberately NOT cached:
+// the pulse or its latency.
 // Resurrecting evicted pulses would turn the cache into a second library
 // behind the capacity bound's back; a prefetched key re-trains like any
 // miss, warm-seeded from the live seed index at best.
@@ -29,10 +29,6 @@ type Target struct {
 	Key       string
 	NumQubits int
 	Unitary   *cmat.Matrix
-	// LatencyNs is the latency of the last pulse trained for the key — the
-	// duration-search hint for a re-training, exactly as an epoch roll
-	// seeds it from the old entry.
-	LatencyNs float64
 }
 
 // TargetCache is a bounded LRU of training targets. All methods are safe
@@ -104,7 +100,7 @@ type targetRecorder struct {
 
 func (t *targetRecorder) EntryAdded(e *precompile.Entry) {
 	if u, ok := t.seeds.Unitary(e.Key); ok {
-		t.targets.Put(&Target{Key: e.Key, NumQubits: e.NumQubits, Unitary: u, LatencyNs: e.LatencyNs})
+		t.targets.Put(&Target{Key: e.Key, NumQubits: e.NumQubits, Unitary: u})
 	}
 }
 

@@ -110,7 +110,6 @@ func FullScale() Scale {
 func (s Scale) precompileConfig() precompile.Config {
 	return precompile.Config{
 		Grape:    s.Grape,
-		UseMST:   true,
 		Search1Q: s.Search1Q,
 		Search2Q: s.Search2Q,
 	}

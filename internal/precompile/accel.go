@@ -2,14 +2,11 @@ package precompile
 
 import (
 	"fmt"
-	"sort"
 
-	"accqoc/internal/cmat"
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
 	"accqoc/internal/hamiltonian"
 	"accqoc/internal/pulse"
-	"accqoc/internal/simgraph"
 	"accqoc/internal/similarity"
 )
 
@@ -38,100 +35,66 @@ func FixedDurationFor(numQubits int) float64 {
 }
 
 // AccelerationStudy trains every unique group once per arm — a cold
-// baseline plus one arm per similarity function, each ordered by that
-// function's MST with warm starts along tree edges — and reports the total
-// iteration counts. This regenerates the data behind the paper's Figures 8
-// and 13.
+// baseline plus one arm per similarity function, each in that function's
+// Plan order with warm starts along tree edges — and reports the total
+// iteration counts. Every training runs at its size's fixed duration, so
+// the arms compare orderings, not latency searches. This regenerates the
+// data behind the paper's Figures 8 and 13.
 func AccelerationStudy(uniq []*grouping.UniqueGroup, fns []similarity.Func, cfg Config) (cold AccelArm, arms []AccelArm, err error) {
 	cfg = cfg.withDefaults()
-	bySize := map[int][]*grouping.UniqueGroup{}
-	for _, u := range uniq {
-		bySize[u.NumQubits] = append(bySize[u.NumQubits], u)
-	}
-	sizes := make([]int, 0, len(bySize))
-	for s := range bySize {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
-
-	type class struct {
-		size int
-		sys  *hamiltonian.System
-		us   []*cmat.Matrix
-	}
-	var classes []class
-	for _, size := range sizes {
-		sys, serr := hamiltonian.ForQubits(size, cfg.Ham)
-		if serr != nil {
-			return cold, nil, serr
-		}
-		us := make([]*cmat.Matrix, len(bySize[size]))
-		for i, g := range bySize[size] {
-			u, uerr := g.Group.Unitary()
-			if uerr != nil {
-				return cold, nil, uerr
-			}
-			us[i] = canonicalUnitary(u)
-		}
-		classes = append(classes, class{size: size, sys: sys, us: us})
-	}
-
-	// run trains every class in the given order; fn ("" for the cold arm)
-	// gates warm starts by its similarity threshold — a too-distant MST
-	// parent would hurt rather than help (§V-C's identity fallback).
-	run := func(fn similarity.Func, order func(c class) ([]simgraph.Step, error)) (int, error) {
+	systems := map[int]*hamiltonian.System{}
+	// run trains the steps in order; fn ("" for the cold arm) gates warm
+	// starts by its similarity threshold — a too-distant MST parent would
+	// hurt rather than help (§V-C's identity fallback).
+	run := func(steps []Step, fn similarity.Func) (int, error) {
 		total := 0
-		for _, c := range classes {
-			steps, oerr := order(c)
-			if oerr != nil {
-				return 0, oerr
+		trained := make([]*pulse.Pulse, len(steps))
+		for i, st := range steps {
+			n := st.Group.NumQubits
+			sys := systems[n]
+			if sys == nil {
+				var serr error
+				if sys, serr = hamiltonian.ForQubits(n, cfg.Ham); serr != nil {
+					return 0, serr
+				}
+				systems[n] = sys
 			}
 			gopts := cfg.Grape
-			gopts.Segments = SegmentsFor(c.size)
-			dur := FixedDurationFor(c.size)
-			trained := make([]*pulse.Pulse, len(c.us))
-			for _, step := range steps {
-				var seed *pulse.Pulse
-				if step.WarmFrom >= 0 && trained[step.WarmFrom] != nil &&
-					fn != "" && step.Distance <= similarity.WarmThreshold(fn, c.sys.Dim) {
-					seed = trained[step.WarmFrom]
-				}
-				res, cerr := grape.Compile(c.sys, c.us[step.Group], dur, gopts, seed)
-				if cerr != nil {
-					return 0, cerr
-				}
-				total += res.Iterations
-				if res.Converged {
-					trained[step.Group] = res.Pulse
-				}
+			gopts.Segments = SegmentsFor(n)
+			var seed *pulse.Pulse
+			if fn != "" && st.WarmFrom >= 0 && st.Distance <= similarity.WarmThreshold(fn, sys.Dim) {
+				seed = trained[st.WarmFrom]
+			}
+			res, cerr := grape.Compile(sys, st.Target, FixedDurationFor(n), gopts, seed)
+			if cerr != nil {
+				return 0, cerr
+			}
+			total += res.Iterations
+			if res.Converged {
+				trained[i] = res.Pulse
 			}
 		}
 		return total, nil
 	}
 
-	coldIters, err := run("", func(c class) ([]simgraph.Step, error) {
-		return simgraph.ColdSequence(len(c.us)), nil
-	})
+	// The cold arm trains every group from scratch, so any plan's order
+	// gives the same total.
+	steps, err := Plan(uniq, cfg.Similarity)
+	if err != nil {
+		return cold, nil, err
+	}
+	coldIters, err := run(steps, "")
 	if err != nil {
 		return cold, nil, err
 	}
 	cold = AccelArm{Function: "", Iterations: coldIters}
 
 	for _, fn := range fns {
-		iters, rerr := run(fn, func(c class) ([]simgraph.Step, error) {
-			if len(c.us) == 1 {
-				return simgraph.ColdSequence(1), nil
-			}
-			g, gerr := simgraph.Build(c.us, fn)
-			if gerr != nil {
-				return nil, gerr
-			}
-			mst, merr := g.PrimMST(0)
-			if merr != nil {
-				return nil, merr
-			}
-			return mst.CompilationSequence(), nil
-		})
+		steps, perr := Plan(uniq, fn)
+		if perr != nil {
+			return cold, nil, perr
+		}
+		iters, rerr := run(steps, fn)
 		if rerr != nil {
 			return cold, nil, rerr
 		}

@@ -1,18 +1,13 @@
 package precompile
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
 
-	"accqoc/internal/cmat"
-	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
-	"accqoc/internal/hamiltonian"
 	"accqoc/internal/partition"
-	"accqoc/internal/pulse"
-	"accqoc/internal/simgraph"
-	"accqoc/internal/similarity"
 )
 
 // ParallelBuildResult extends BuildStats with the worker-level accounting
@@ -30,15 +25,20 @@ type ParallelBuildResult struct {
 }
 
 // ParallelBuild trains a group category on k workers following §V-D: per
-// size class the similarity MST is balance-partitioned into k connected
-// sub-trees (METIS's role), each worker trains its sub-trees in local Prim
-// order, and a sub-tree whose MST parent landed on another worker starts
-// from scratch — the "soft dependency" the paper exploits ("we can always
-// train a group starting from identity matrix").
+// size class the planned MST is balance-partitioned into k connected
+// sub-trees (METIS's role), each worker executes its sub-tree in Prim
+// order, and a step whose MST parent landed on another worker is rooted
+// at the identity — the "soft dependency" the paper exploits ("we can
+// always train a group starting from identity matrix").
 func ParallelBuild(uniq []*grouping.UniqueGroup, cfg Config, workers int) (*ParallelBuildResult, error) {
 	cfg = cfg.withDefaults()
 	if workers < 1 {
 		workers = 1
+	}
+	if workers > 1 && cfg.Grape.Parallel == 0 {
+		// Group-level parallelism already saturates the cores; per-segment
+		// workers inside each GRAPE evaluation would only oversubscribe.
+		cfg.Grape.Parallel = -1
 	}
 	out := &ParallelBuildResult{
 		Library: NewLibrary(),
@@ -46,200 +46,102 @@ func ParallelBuild(uniq []*grouping.UniqueGroup, cfg Config, workers int) (*Para
 		Workers: workers,
 	}
 	start := time.Now()
-
-	bySize := map[int][]*grouping.UniqueGroup{}
+	steps, err := Plan(uniq, cfg.Similarity)
+	if err != nil {
+		return nil, err
+	}
+	// The partition tree numbers a class's vertices by input order (vertex
+	// 0 is the identity), as the MST over that class does.
+	vertex := make(map[*grouping.UniqueGroup]int, len(uniq))
+	perSize := map[int]int{}
 	for _, u := range uniq {
-		bySize[u.NumQubits] = append(bySize[u.NumQubits], u)
+		perSize[u.NumQubits]++
+		vertex[u] = perSize[u.NumQubits]
 	}
-	sizes := make([]int, 0, len(bySize))
-	for s := range bySize {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
-
-	var mu sync.Mutex // guards out.Library and out.Stats
-	for _, size := range sizes {
-		class := bySize[size]
-		if err := parallelClass(out, &mu, class, size, cfg, workers); err != nil {
-			return nil, err
+	store := &mapStore{lib: out.Library}
+	for lo := 0; lo < len(steps); {
+		hi := lo + 1
+		for hi < len(steps) && steps[hi].Group.NumQubits == steps[lo].Group.NumQubits {
+			hi++
 		}
+		parts, perr := out.partition(steps[lo:hi], lo, vertex, workers)
+		if perr != nil {
+			return nil, perr
+		}
+		entries := make([][]*Entry, len(parts))
+		var wg sync.WaitGroup
+		for i, part := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				entries[i] = Execute(part, cfg, store)
+			}()
+		}
+		wg.Wait()
+		for i, part := range parts {
+			out.Stats.add(part, entries[i])
+		}
+		lo = hi
 	}
 	out.Stats.Elapsed = time.Since(start)
 	return out, nil
 }
 
-// jobNode is one vertex of a worker's local training schedule.
-type jobNode struct {
-	group    int     // index into the class
-	warmFrom int     // class index whose pulse seeds this one; -1 for cold
-	distance float64 // MST edge distance to the warm-start source
-}
-
-func parallelClass(out *ParallelBuildResult, mu *sync.Mutex, class []*grouping.UniqueGroup, size int, cfg Config, workers int) error {
-	sys, err := hamiltonian.ForQubits(size, cfg.Ham)
-	if err != nil {
-		return err
-	}
-	us := make([]*cmat.Matrix, len(class))
-	for i, g := range class {
-		u, uerr := g.Group.Unitary()
-		if uerr != nil {
-			return uerr
-		}
-		us[i] = canonicalUnitary(u)
-	}
-
-	// MST over the class; single-group classes go straight to one worker.
-	var mst *simgraph.MST
-	if len(class) > 1 {
-		g, gerr := simgraph.Build(us, cfg.Similarity)
-		if gerr != nil {
-			return gerr
-		}
-		mst, err = g.PrimMST(0)
-		if err != nil {
-			return err
-		}
-	}
-
-	// Partition the MST into balanced connected parts (§V-D). Node
-	// weights estimate training cost: warm starts get cheaper with
-	// similarity (base + slope·distance), the identity root trains cold.
+// partition splits one size class's planned steps into balanced connected
+// parts (§V-D) and accounts their weights; base is the class's plan
+// offset, so the class's MST edges are WarmFrom-base. Node weights
+// estimate training cost: warm starts get cheaper with similarity (base +
+// slope·distance), an identity-rooted step trains cold. Each part keeps
+// the plan's Prim order; an MST edge into another part becomes an
+// identity root.
+func (out *ParallelBuildResult) partition(class []Step, base int, vertex map[*grouping.UniqueGroup]int, workers int) ([][]Step, error) {
 	const (
 		baseIters = 40.0
 		slope     = 400.0
 		coldIters = 300.0
 	)
-	schedules := make([][]jobNode, 0, workers)
-	if mst == nil {
-		schedules = append(schedules, []jobNode{{group: 0, warmFrom: -1}})
-		out.SerialWeight += coldIters
-		if coldIters > out.PartMakespan {
-			out.PartMakespan = coldIters
+	parent := make([]int, len(class)+1)
+	weights := make([]float64, len(class)+1)
+	parent[0] = -1
+	for _, st := range class {
+		v := vertex[st.Group]
+		if st.WarmFrom < 0 {
+			weights[v] = coldIters
+		} else {
+			parent[v] = vertex[class[st.WarmFrom-base].Group]
+			weights[v] = baseIters + slope*st.Distance
 		}
-	} else {
-		// Build the vertex-weighted tree over MST vertices (vertex 0 is
-		// the identity; weight 0 — it needs no training).
-		parent := mst.Parent
-		weights := make([]float64, len(parent))
-		for v := range weights {
-			if v == 0 {
-				continue
-			}
-			if parent[v] == 0 {
-				weights[v] = coldIters
-			} else {
-				weights[v] = baseIters + slope*mst.Cost[v]
-			}
-			out.SerialWeight += weights[v]
-		}
-		tree, terr := partition.NewTree(parent, weights)
-		if terr != nil {
-			return terr
-		}
-		parts, perr := partition.Balanced(tree, workers)
-		if perr != nil {
-			return perr
-		}
-		if parts.Makespan > out.PartMakespan {
-			out.PartMakespan = parts.Makespan
-		}
-		// Each part trains in the global Prim order restricted to its
-		// vertices; a vertex whose parent is outside the part goes cold.
-		byPart := map[int][]jobNode{}
-		for _, v := range mst.Order {
-			if v == 0 {
-				continue
-			}
-			p := parts.Part[v]
-			warm := -1
-			if parent[v] != 0 && parts.Part[parent[v]] == p {
-				warm = parent[v] - 1
-			}
-			byPart[p] = append(byPart[p], jobNode{group: v - 1, warmFrom: warm, distance: mst.Cost[v]})
-		}
-		ids := make([]int, 0, len(byPart))
-		for id := range byPart {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			schedules = append(schedules, byPart[id])
-		}
+		out.SerialWeight += weights[v]
 	}
-
-	// Run the schedules concurrently, one goroutine per part.
-	gopts := cfg.Grape
-	gopts.Segments = SegmentsFor(size)
-	if workers > 1 && gopts.Parallel == 0 {
-		// Group-level parallelism already saturates the cores; per-segment
-		// workers inside each GRAPE evaluation would only oversubscribe.
-		gopts.Parallel = -1
+	tree, err := partition.NewTree(parent, weights)
+	if err != nil {
+		return nil, err
 	}
-	sopts := cfg.searchFor(size)
-
-	trained := make([]*pulse.Pulse, len(class))
-	durations := make([]float64, len(class))
-	var trainedMu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(schedules))
-	for _, sched := range schedules {
-		wg.Add(1)
-		go func(jobs []jobNode) {
-			defer wg.Done()
-			warmTol := similarity.WarmThreshold(cfg.Similarity, sys.Dim)
-			for _, job := range jobs {
-				var seed *pulse.Pulse
-				jobSopts := sopts
-				if job.warmFrom >= 0 {
-					trainedMu.Lock()
-					jobSopts.HintDuration = durations[job.warmFrom]
-					if job.distance <= warmTol {
-						seed = trained[job.warmFrom]
-					}
-					trainedMu.Unlock()
-				}
-				res, cerr := grape.CompileBinarySearch(sys, us[job.group], gopts, jobSopts, seed)
-				st := GroupStat{Key: class[job.group].Key, NumQubits: size}
-				if job.warmFrom >= 0 {
-					st.WarmFrom = class[job.warmFrom].Key
-				}
-				if cerr != nil {
-					mu.Lock()
-					out.Stats.Failed = append(out.Stats.Failed, class[job.group].Key)
-					out.Stats.PerGroup = append(out.Stats.PerGroup, st)
-					mu.Unlock()
-					continue
-				}
-				trainedMu.Lock()
-				trained[job.group] = res.Pulse
-				durations[job.group] = res.Duration
-				trainedMu.Unlock()
-				st.Iterations = res.TotalIterations
-				st.LatencyNs = res.Duration
-				st.Converged = true
-				mu.Lock()
-				out.Stats.TotalIterations += res.TotalIterations
-				out.Stats.PerGroup = append(out.Stats.PerGroup, st)
-				out.Library.Entries[class[job.group].Key] = &Entry{
-					Key:        class[job.group].Key,
-					NumQubits:  size,
-					Pulse:      res.Pulse,
-					LatencyNs:  res.Duration,
-					Iterations: res.TotalIterations,
-					Frequency:  class[job.group].Count,
-					Infidelity: res.Infidelity,
-				}
-				mu.Unlock()
-			}
-		}(sched)
+	cut, err := partition.Balanced(tree, workers)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	close(errCh)
-	for e := range errCh {
-		if e != nil {
-			return e
+	out.PartMakespan = math.Max(out.PartMakespan, cut.Makespan)
+	byPart := map[int][]Step{}
+	at := make([]int, len(class)) // class position → index within its part
+	for i, st := range class {
+		p := cut.Part[vertex[st.Group]]
+		w := st.WarmFrom - base
+		st.WarmFrom = -1
+		if w >= 0 && cut.Part[vertex[class[w].Group]] == p {
+			st.WarmFrom = at[w]
 		}
+		at[i] = len(byPart[p])
+		byPart[p] = append(byPart[p], st)
 	}
-	return nil
+	ids := make([]int, 0, len(byPart))
+	for id := range byPart {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	parts := make([][]Step, len(ids))
+	for i, id := range ids {
+		parts[i] = byPart[id]
+	}
+	return parts, nil
 }

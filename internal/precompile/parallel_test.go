@@ -1,6 +1,7 @@
 package precompile
 
 import (
+	"reflect"
 	"testing"
 
 	"accqoc/internal/gate"
@@ -15,7 +16,6 @@ func TestParallelBuildMatchesSerialCoverage(t *testing.T) {
 	}
 	uniq := uniq1q(t, 0.4, 0.9, 1.4, 2.1)
 	cfg := fastCfg()
-	cfg.UseMST = true
 
 	serialLib, _, err := Build(uniq, cfg)
 	if err != nil {
@@ -105,5 +105,43 @@ func TestParallelBuildMixedSizes(t *testing.T) {
 	if len(par.Library.Entries) != 2 {
 		t.Fatalf("mixed-size build trained %d of 2 (failed: %v)",
 			len(par.Library.Entries), par.Stats.Failed)
+	}
+}
+
+// TestParallelBuildReportsOnlyUsedWarmSources pins that ParallelBuild names
+// a warm source only when its pulse seeded the training, as Build does:
+// rz(3.0) hangs off rz(0.4) by an MST edge far above WarmThreshold, so
+// only the latency hint transfers. On one worker the two builds must agree
+// entry for entry and step for step.
+func TestParallelBuildReportsOnlyUsedWarmSources(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains pulses; skipped in -short")
+	}
+	uniq := uniq1q(t, 0.4, 3.0)
+	lib, stats, err := Build(uniq, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := ParallelBuild(uniq, fastCfg(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par.Stats.PerGroup, stats.PerGroup) {
+		t.Fatalf("per-group stats differ:\nparallel %+v\nserial   %+v", par.Stats.PerGroup, stats.PerGroup)
+	}
+	for _, g := range stats.PerGroup {
+		if g.WarmFrom != "" {
+			t.Fatalf("group %.24s… names warm source %.24s… across an edge above WarmThreshold", g.Key, g.WarmFrom)
+		}
+	}
+	if len(par.Library.Entries) != len(lib.Entries) {
+		t.Fatalf("parallel build trained %d entries, serial %d", len(par.Library.Entries), len(lib.Entries))
+	}
+	for k, e := range lib.Entries {
+		p := par.Library.Entries[k]
+		if p == nil || p.Iterations != e.Iterations || p.LatencyNs != e.LatencyNs ||
+			!reflect.DeepEqual(p.Pulse.Amps, e.Pulse.Amps) {
+			t.Fatalf("entry %.24s… differs between the builds", k)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"accqoc/internal/cmat"
@@ -19,7 +18,6 @@ import (
 	"accqoc/internal/grouping"
 	"accqoc/internal/hamiltonian"
 	"accqoc/internal/pulse"
-	"accqoc/internal/simgraph"
 	"accqoc/internal/similarity"
 )
 
@@ -34,16 +32,12 @@ type Config struct {
 	// Similarity selects the warm-start metric; default TraceFid
 	// ("fidelity1"), the function the paper found best (Fig. 8).
 	Similarity similarity.Func
-	// UseMST orders training by the similarity MST; when false, groups are
-	// trained in frequency order from cold starts (the brute-force
-	// baseline of Fig. 15's compile-time comparison).
-	UseMST bool
 	// Search bounds per group size; zero values pick defaults scaled to
 	// the model's speed limits.
 	Search1Q grape.SearchOptions
 	Search2Q grape.SearchOptions
-	// Observer, when set, is notified once per successful training
-	// (TrainGroup / RetrainEntry) with the group size, summed optimizer
+	// Observer, when set, is notified once per successful training (every
+	// path trains through one unit) with the group size, summed optimizer
 	// iterations, final infidelity, and whether the run was warm-started.
 	// Observability taps it for per-size iteration and infidelity
 	// histograms; it must be cheap and must not retain references. Nil
@@ -174,122 +168,40 @@ type BuildStats struct {
 	Failed          []string // keys that never converged (excluded from the library)
 }
 
-// Build trains pulses for every unique group, ordered (when cfg.UseMST) by
-// the similarity MST per size class with warm starts along tree edges.
+// Build trains pulses for every unique group in the order Plan gives the
+// category: per size class by the similarity MST, with warm starts along
+// tree edges.
 func Build(uniq []*grouping.UniqueGroup, cfg Config) (*Library, *BuildStats, error) {
 	cfg = cfg.withDefaults()
+	start := time.Now()
+	steps, err := Plan(uniq, cfg.Similarity)
+	if err != nil {
+		return nil, nil, err
+	}
 	lib := NewLibrary()
 	stats := &BuildStats{}
-	start := time.Now()
-
-	bySize := map[int][]*grouping.UniqueGroup{}
-	for _, u := range uniq {
-		bySize[u.NumQubits] = append(bySize[u.NumQubits], u)
-	}
-	sizes := make([]int, 0, len(bySize))
-	for s := range bySize {
-		sizes = append(sizes, s)
-	}
-	sort.Ints(sizes)
-
-	for _, size := range sizes {
-		class := bySize[size]
-		if err := buildClass(lib, stats, class, size, cfg); err != nil {
-			return nil, nil, err
-		}
-	}
+	stats.add(steps, Execute(steps, cfg, &mapStore{lib: lib}))
 	stats.Elapsed = time.Since(start)
 	return lib, stats, nil
 }
 
-func buildClass(lib *Library, stats *BuildStats, class []*grouping.UniqueGroup, size int, cfg Config) error {
-	sys, err := hamiltonian.ForQubits(size, cfg.Ham)
-	if err != nil {
-		return err
-	}
-	// Canonical unitaries per unique group.
-	us := make([]*cmat.Matrix, len(class))
-	for i, g := range class {
-		u, err := g.Group.Unitary()
-		if err != nil {
-			return err
-		}
-		us[i] = canonicalUnitary(u)
-	}
-
-	var steps []simgraph.Step
-	if cfg.UseMST && len(class) > 1 {
-		g, err := simgraph.Build(us, cfg.Similarity)
-		if err != nil {
-			return err
-		}
-		mst, err := g.PrimMST(0)
-		if err != nil {
-			return err
-		}
-		steps = mst.CompilationSequence()
-	} else {
-		steps = simgraph.ColdSequence(len(class))
-	}
-
-	sopts := cfg.searchFor(size)
-	gopts := cfg.Grape
-	gopts.Segments = SegmentsFor(size)
-
-	trained := make([]*pulse.Pulse, len(class))
-	durations := make([]float64, len(class))
-	warmTol := similarity.WarmThreshold(cfg.Similarity, sys.Dim)
-	for _, step := range steps {
-		var seed *pulse.Pulse
-		warmKey := ""
-		stepSopts := sopts
-		if step.WarmFrom >= 0 && trained[step.WarmFrom] != nil {
-			// The latency hint transfers even between moderately similar
-			// groups; the pulse seed only when the MST edge is short
-			// enough to help (§V-C's identity fallback).
-			stepSopts.HintDuration = durations[step.WarmFrom]
-			if step.Distance <= warmTol {
-				seed = trained[step.WarmFrom]
-				warmKey = class[step.WarmFrom].Key
+// add records executed steps: a failed step stays uncovered (it compiles
+// dynamically later), and a step names its MST parent as its warm source
+// only when the parent's pulse seeded it.
+func (st *BuildStats) add(steps []Step, entries []*Entry) {
+	for i, s := range steps {
+		g := GroupStat{Key: s.Group.Key, NumQubits: s.Group.NumQubits}
+		if e := entries[i]; e == nil {
+			st.Failed = append(st.Failed, s.Group.Key)
+		} else {
+			g.Iterations, g.LatencyNs, g.Converged = e.Iterations, e.LatencyNs, true
+			if e.Seeded && s.WarmFrom >= 0 {
+				g.WarmFrom = steps[s.WarmFrom].Group.Key
 			}
+			st.TotalIterations += e.Iterations
 		}
-		res, err := grape.CompileBinarySearch(sys, us[step.Group], gopts, stepSopts, seed)
-		st := GroupStat{
-			Key:       class[step.Group].Key,
-			NumQubits: size,
-			WarmFrom:  warmKey,
-		}
-		if err != nil {
-			// Unreachable within the bracket: record and continue; the
-			// group stays uncovered and compiles dynamically later.
-			stats.Failed = append(stats.Failed, class[step.Group].Key)
-			stats.PerGroup = append(stats.PerGroup, st)
-			continue
-		}
-		trained[step.Group] = res.Pulse
-		durations[step.Group] = res.Duration
-		st.Iterations = res.TotalIterations
-		st.LatencyNs = res.Duration
-		st.Converged = true
-		stats.TotalIterations += res.TotalIterations
-		stats.PerGroup = append(stats.PerGroup, st)
-		lib.Entries[class[step.Group].Key] = &Entry{
-			Key:        class[step.Group].Key,
-			NumQubits:  size,
-			Pulse:      res.Pulse,
-			LatencyNs:  res.Duration,
-			Iterations: res.TotalIterations,
-			Frequency:  class[step.Group].Count,
-			Infidelity: res.Infidelity,
-		}
+		st.PerGroup = append(st.PerGroup, g)
 	}
-	return nil
-}
-
-// SearchFor returns the binary-search bracket for a group size under this
-// configuration.
-func (c Config) SearchFor(size int) grape.SearchOptions {
-	return c.withDefaults().searchFor(size)
 }
 
 func (c Config) searchFor(size int) grape.SearchOptions {
@@ -310,12 +222,6 @@ func (c Config) searchFor(size int) grape.SearchOptions {
 // CanonicalUnitary returns the orientation whose key is canonical, so that
 // library pulses always drive the canonical form.
 func CanonicalUnitary(u *cmat.Matrix) *cmat.Matrix {
-	return canonicalUnitary(u)
-}
-
-// canonicalUnitary returns the orientation whose key is canonical, so that
-// library pulses always drive the canonical form.
-func canonicalUnitary(u *cmat.Matrix) *cmat.Matrix {
 	if _, swapped := grouping.CanonicalOrientation(u); swapped {
 		return swapQubits(u)
 	}

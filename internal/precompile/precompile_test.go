@@ -3,6 +3,9 @@ package precompile
 import (
 	"math"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"accqoc/internal/circuit"
@@ -72,7 +75,6 @@ func TestBuildUsesMSTWarmStarts(t *testing.T) {
 	}
 	uniq := uniq1q(t, 0.5, 0.6, 0.7, 2.6)
 	cfg := fastCfg()
-	cfg.UseMST = true
 	_, stats, err := Build(uniq, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -375,5 +377,58 @@ func TestOrientPulse(t *testing.T) {
 	q.Amps[0][0] = 5
 	if OrientPulse(q, true).Amps[0][0] != 5 {
 		t.Fatal("2-channel pulse was permuted")
+	}
+}
+
+// TestBatchTrainingsCarryProvenance pins that batch trainings stamp their
+// cost provenance and notify the observer exactly once per trained entry,
+// like every other training: TrainWallNs is positive, and Seeded holds
+// exactly for the steps an MST parent lent its pulse to.
+func TestBatchTrainingsCarryProvenance(t *testing.T) {
+	skipUnlessAMD64(t)
+	if testing.Short() {
+		t.Skip("trains pulses; skipped in -short")
+	}
+	for _, workers := range []int{0, 2} {
+		uniq, names, cfg := goldenCategory(t)
+		var mu sync.Mutex
+		calls, seededCalls := 0, 0
+		cfg.Observer = func(_, _ int, _ float64, seeded bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls++
+			if seeded {
+				seededCalls++
+			}
+		}
+		var lib *Library
+		if workers == 0 {
+			var err error
+			if lib, _, err = Build(uniq, cfg); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			res, err := ParallelBuild(uniq, cfg, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib = res.Library
+		}
+		if calls != len(lib.Entries) {
+			t.Fatalf("workers=%d: observer saw %d trainings for %d entries", workers, calls, len(lib.Entries))
+		}
+		var seeded []string
+		for k, e := range lib.Entries {
+			if e.TrainWallNs <= 0 {
+				t.Fatalf("workers=%d: entry %s has no training wall time", workers, names[k])
+			}
+			if e.Seeded {
+				seeded = append(seeded, names[k])
+			}
+		}
+		sort.Strings(seeded)
+		if want := []string{"cx+rz0.2", "rz0.5"}; !reflect.DeepEqual(seeded, want) || seededCalls != len(want) {
+			t.Fatalf("workers=%d: seeded entries %v (observer %d), want %v", workers, seeded, seededCalls, want)
+		}
 	}
 }

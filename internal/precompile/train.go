@@ -11,94 +11,73 @@ import (
 	"accqoc/internal/pulse"
 )
 
-// TrainGroup trains a single unique group in isolation — the unit of work
-// behind the serving path, where groups arrive one at a time from
-// concurrent requests rather than as a batch category. The optional seed
-// entry warm-starts the optimizer and brackets the latency search (its
-// latency becomes the binary-search hint). A nil return error with a nil
-// entry never happens: failure to converge within the bracket is an error
-// so callers can price the group gate-based.
+// TrainGroup trains a single unique group in isolation. The optional seed
+// entry warm-starts the optimizer (its pulse) and brackets the latency
+// search (its latency becomes the binary-search hint); a seed of another
+// size is ignored. A nil return error with a nil entry never happens:
+// failure to converge within the bracket is an error so callers can price
+// the group gate-based.
 func TrainGroup(g *grouping.UniqueGroup, cfg Config, seed *Entry) (*Entry, error) {
-	cfg = cfg.withDefaults()
-	sys, err := hamiltonian.ForQubits(g.NumQubits, cfg.Ham)
-	if err != nil {
-		return nil, err
-	}
 	u, err := g.Group.Unitary()
 	if err != nil {
 		return nil, err
 	}
-	cu := canonicalUnitary(u)
-
-	gopts := cfg.Grape
-	gopts.Segments = SegmentsFor(g.NumQubits)
-	sopts := cfg.searchFor(g.NumQubits)
-	var seedPulse *pulse.Pulse
-	if seed != nil && seed.NumQubits == g.NumQubits {
-		seedPulse = seed.Pulse
-		sopts.HintDuration = seed.LatencyNs
+	if seed != nil && seed.NumQubits != g.NumQubits {
+		seed = nil
 	}
-	begin := time.Now()
-	res, err := grape.CompileBinarySearch(sys, cu, gopts, sopts, seedPulse)
-	wall := time.Since(begin)
-	if err != nil {
-		return nil, fmt.Errorf("precompile: group %s unreachable in bracket: %w", g.Key, err)
-	}
-	if cfg.Observer != nil {
-		cfg.Observer(g.NumQubits, res.TotalIterations, res.Infidelity, seedPulse != nil)
-	}
-	return &Entry{
-		Key:         g.Key,
-		NumQubits:   g.NumQubits,
-		Pulse:       res.Pulse,
-		LatencyNs:   res.Duration,
-		Iterations:  res.TotalIterations,
-		Frequency:   g.Count,
-		Infidelity:  res.Infidelity,
-		TrainWallNs: float64(wall.Nanoseconds()),
-		Seeded:      seedPulse != nil,
-	}, nil
+	return train(g.Key, g.NumQubits, g.Count, CanonicalUnitary(u), cfg.withDefaults(), seed)
 }
 
 // RetrainEntry re-trains a library entry toward target unitary u under a
 // new physical model (cfg carries a fresh calibration epoch's Hamiltonian)
 // — the unit of work of the cross-epoch recompilation pipeline. The old
-// entry's pulse warm-starts the optimizer and its latency brackets the
-// binary search at the pulse's native duration, so a small calibration
-// drift converges in a handful of iterations (the paper's warm-start
-// thesis applied across recalibrations). An entry whose Pulse is nil
+// entry is its own seed: its pulse warm-starts the optimizer and its
+// latency is the binary-search hint, so a small calibration drift
+// converges in a handful of iterations (the paper's warm-start thesis
+// applied across recalibrations). An entry with neither pulse nor latency
 // retrains cold — the baseline the warm path is measured against.
 func RetrainEntry(e *Entry, u *cmat.Matrix, cfg Config) (*Entry, error) {
-	cfg = cfg.withDefaults()
-	sys, err := hamiltonian.ForQubits(e.NumQubits, cfg.Ham)
+	return train(e.Key, e.NumQubits, e.Frequency, u, cfg.withDefaults(), e)
+}
+
+// train is the one training unit behind Execute, TrainGroup and
+// RetrainEntry: a latency binary search toward target, warm-started by
+// seed when one is given — its pulse (if any) seeds the optimizer and its
+// latency is the search hint. It stamps the entry's cost provenance
+// (TrainWallNs, Seeded) and notifies cfg.Observer. cfg carries its
+// defaults.
+func train(key string, numQubits, frequency int, target *cmat.Matrix, cfg Config, seed *Entry) (*Entry, error) {
+	sys, err := hamiltonian.ForQubits(numQubits, cfg.Ham)
 	if err != nil {
 		return nil, err
 	}
 	gopts := cfg.Grape
-	gopts.Segments = SegmentsFor(e.NumQubits)
-	sopts := cfg.searchFor(e.NumQubits)
-	if e.Pulse != nil && e.LatencyNs > 0 {
-		sopts.HintDuration = e.LatencyNs
+	gopts.Segments = SegmentsFor(numQubits)
+	sopts := cfg.searchFor(numQubits)
+	var seedPulse *pulse.Pulse
+	if seed != nil {
+		seedPulse = seed.Pulse
+		sopts.HintDuration = seed.LatencyNs
 	}
 	begin := time.Now()
-	res, err := grape.CompileBinarySearch(sys, u, gopts, sopts, e.Pulse)
+	res, err := grape.CompileBinarySearch(sys, target, gopts, sopts, seedPulse)
 	wall := time.Since(begin)
 	if err != nil {
-		return nil, fmt.Errorf("precompile: retrain %s unreachable in bracket: %w", e.Key, err)
+		return nil, fmt.Errorf("precompile: group %s unreachable in bracket: %w", key, err)
 	}
 	if cfg.Observer != nil {
-		cfg.Observer(e.NumQubits, res.TotalIterations, res.Infidelity, e.Pulse != nil)
+		cfg.Observer(numQubits, res.TotalIterations, res.Infidelity, seedPulse != nil)
 	}
 	return &Entry{
-		Key:         e.Key,
-		NumQubits:   e.NumQubits,
+		Key:         key,
+		NumQubits:   numQubits,
 		Pulse:       res.Pulse,
 		LatencyNs:   res.Duration,
 		Iterations:  res.TotalIterations,
-		Frequency:   e.Frequency,
+		Frequency:   frequency,
 		Infidelity:  res.Infidelity,
 		TrainWallNs: float64(wall.Nanoseconds()),
-		Seeded:      e.Pulse != nil,
+		Seeded:      seedPulse != nil,
 	}, nil
 }
 

@@ -31,18 +31,23 @@ func mustParse(b *testing.B, src string) *circuit.Circuit {
 // a fresh server, then serve the similar program B as a miss. The
 // reported grape-iters/op is B's training cost — the paper's
 // compile-cost metric (§VI-G) — which the seed index should cut relative
-// to the cold path. GRAPE is seeded (fastOpts sets Seed), so the
-// iteration metric is deterministic; wall time on the shared bench box
-// is not the signal.
-func benchServe(b *testing.B, progA, progB string, disable bool) {
+// to the cold path. The cold arm serves B on a second fresh server, whose
+// empty seed index has nothing to lend, so B trains from a random init.
+// GRAPE is seeded (fastOpts sets Seed), so the iteration metric is
+// deterministic; wall time on the shared bench box is not the signal.
+func benchServe(b *testing.B, progA, progB string, cold bool) {
 	pa := mustParse(b, progA)
 	pb := mustParse(b, progB)
 	var iters, seeded int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(Config{Compile: fastOpts(), Workers: 1, DisableSeedIndex: disable})
+		s := New(Config{Compile: fastOpts(), Workers: 1})
 		if _, err := s.svc.Do(&compilesvc.Request{Prog: pa, NS: s.defaultNS()}); err != nil {
 			b.Fatal(err)
+		}
+		if cold {
+			s.Close()
+			s = New(Config{Compile: fastOpts(), Workers: 1})
 		}
 		res, err := s.svc.Do(&compilesvc.Request{Prog: pb, NS: s.defaultNS()})
 		if err != nil {
@@ -53,15 +58,18 @@ func benchServe(b *testing.B, progA, progB string, disable bool) {
 		s.Close()
 	}
 	b.StopTimer()
-	if !disable && seeded < int64(b.N) {
+	if cold && seeded != 0 {
+		b.Fatalf("cold arm seeded %d misses on an empty index", seeded)
+	}
+	if !cold && seeded < int64(b.N) {
 		b.Fatalf("warm mode seeded %d of %d misses", seeded, b.N)
 	}
 	b.ReportMetric(float64(iters)/float64(b.N), "grape-iters/op")
 }
 
 // BenchmarkServeColdVsWarm is the serving-path ablation committed to
-// BENCH_warmstart.json: identical miss traffic with the seed index off
-// (cold) and on (warm).
+// BENCH_warmstart.json: the same miss served next to a covered similar
+// neighbor (warm) and on a fresh server with nothing to seed from (cold).
 func BenchmarkServeColdVsWarm(b *testing.B) {
 	for _, c := range []struct{ name, a, b string }{
 		{"1q", rxAProgram, rxBProgram},

@@ -393,7 +393,7 @@ func TestCircuitConcurrentSharedGroupsTrainOnce(t *testing.T) {
 	if st.Entries != 3 {
 		t.Fatalf("store holds %d entries, want 3", st.Entries)
 	}
-	if ns.Seeds != nil && ns.Seeds.Stats().Entries != 3 {
+	if ns.Seeds.Stats().Entries != 3 {
 		t.Fatalf("seed index holds %d entries, store 3 — hook chain broken", ns.Seeds.Stats().Entries)
 	}
 	// Identical programs agree on their makespan regardless of which

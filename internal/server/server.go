@@ -98,13 +98,6 @@ type Config struct {
 	// training tier to share one resolveGroups pass with same-namespace
 	// company. Default 2ms.
 	AsyncBatchWindow time.Duration
-	// DisableSeedIndex turns off the warm-start seed index and the
-	// plan/execute miss path: cache misses then train cold in
-	// deduplication order, reproducing the pre-index serving behavior
-	// byte for byte (useful for A/B comparison and as the determinism
-	// baseline). It also disables cross-epoch recompilation plans (the
-	// index is where training targets are cached).
-	DisableSeedIndex bool
 	// DisableObservability turns off the whole telemetry layer: no
 	// /metrics or /debug/requests routes, no request IDs or X-Request-Id
 	// header, no pipeline hooks — responses are byte-identical to the
@@ -197,7 +190,7 @@ type CompileResponse = compilesvc.CompileResponse
 // format); per-device views live under GET /v1/devices.
 type StatsResponse struct {
 	Library libstore.Stats `json:"library"`
-	// SeedIndex reports the warm-start index; nil when disabled.
+	// SeedIndex reports the warm-start index.
 	SeedIndex *seedindex.Stats `json:"seed_index,omitempty"`
 	// EvictPolicy reports the default device's cost-aware eviction policy
 	// counters; absent under the default LRU policy.
@@ -285,13 +278,12 @@ func New(cfg Config) *Server {
 	// inherits them from cfg.Compile.
 	var ob *obsState
 	regCfg := devreg.Config{
-		Base:             cfg.Compile,
-		StoreOptions:     cfg.StoreOptions,
-		DisableSeedIndex: cfg.DisableSeedIndex,
-		DisableUsage:     cfg.DisableUsage,
-		Usage:            usage.Options{HistorySize: cfg.UsageHistorySize},
-		CachePolicy:      cfg.CachePolicy,
-		EnablePrefetch:   cfg.EnablePrefetch,
+		Base:           cfg.Compile,
+		StoreOptions:   cfg.StoreOptions,
+		DisableUsage:   cfg.DisableUsage,
+		Usage:          usage.Options{HistorySize: cfg.UsageHistorySize},
+		CachePolicy:    cfg.CachePolicy,
+		EnablePrefetch: cfg.EnablePrefetch,
 	}
 	if !cfg.DisableObservability {
 		ob = newObsState(cfg.FlightRecorderSize)
@@ -543,10 +535,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		c := s.jobStore.Counts()
 		out.Server.Jobs = &c
 	}
-	if ns.Seeds != nil {
-		st := ns.Seeds.Stats()
-		out.SeedIndex = &st
-	}
+	seedStats := ns.Seeds.Stats()
+	out.SeedIndex = &seedStats
 	if pol, _ := s.registry.EvictionPolicy(""); pol != nil {
 		st := pol.Stats()
 		out.EvictPolicy = &st

@@ -289,17 +289,22 @@ func TestServerWarmSeededTraining(t *testing.T) {
 		t.Skip("trains pulses; skipped in -short")
 	}
 
-	// Cold baseline: index disabled, B trains from a random init.
-	coldSrv := New(Config{Compile: fastOpts(), Workers: 2, DisableSeedIndex: true})
-	coldTS := httptest.NewServer(coldSrv.Handler())
-	coldResp, code := postCompile(t, coldTS.URL, CompileRequest{QASM: rxBProgram})
-	coldTS.Close()
-	coldSrv.Close()
-	if code != http.StatusOK {
-		t.Fatalf("cold B status %d", code)
+	// Cold baseline: A trains on one fresh server, B on a second one whose
+	// empty index has nothing to lend, so B trains from a random init.
+	var coldResp *CompileResponse
+	for _, prog := range []string{rxAProgram, rxBProgram} {
+		coldSrv := New(Config{Compile: fastOpts(), Workers: 2})
+		coldTS := httptest.NewServer(coldSrv.Handler())
+		resp, code := postCompile(t, coldTS.URL, CompileRequest{QASM: prog})
+		coldTS.Close()
+		coldSrv.Close()
+		if code != http.StatusOK {
+			t.Fatalf("cold status %d", code)
+		}
+		coldResp = resp
 	}
 	if coldResp.WarmSeeded != 0 || coldResp.SeedDistance != 0 {
-		t.Fatalf("disabled index reported seeding: %+v", coldResp)
+		t.Fatalf("fresh server reported seeding: %+v", coldResp)
 	}
 	if coldResp.TrainingIterations == 0 {
 		t.Fatal("cold compile reported zero training iterations")
@@ -402,22 +407,30 @@ func TestServerInRequestMSTSeeding(t *testing.T) {
 	}
 }
 
-// TestServerDisabledIndexBitIdentical pins the determinism baseline: with
-// the seed index off, the serving path must produce exactly the library
-// the pre-index implementation did — byte-for-byte equal to training each
-// unique group independently, cold, in deduplication order.
+// TestServerDisabledIndexBitIdentical pins the determinism baseline: a
+// single-group program served on a fresh server has nothing to seed from,
+// so the stored entry must be byte-for-byte equal to training that group
+// directly, cold, from the same deterministic GRAPE options.
 func TestServerDisabledIndexBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pulses; skipped in -short")
 	}
-	s := New(Config{Compile: fastOpts(), Workers: 4, DisableSeedIndex: true})
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
-
-	for _, prog := range []string{oneQubitProgram, rxAProgram} {
-		if _, code := postCompile(t, ts.URL, CompileRequest{QASM: prog}); code != http.StatusOK {
+	got := map[string]*precompile.Entry{}
+	for _, prog := range []string{rxAProgram, cx2qAProgram} {
+		s := New(Config{Compile: fastOpts(), Workers: 4})
+		ts := httptest.NewServer(s.Handler())
+		resp, code := postCompile(t, ts.URL, CompileRequest{QASM: prog})
+		if code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
+		if resp.UncoveredUnique != 1 || resp.WarmSeeded != 0 {
+			t.Fatalf("want one cold unseeded training, got %+v", resp)
+		}
+		for k, e := range s.Store().Snapshot().Entries {
+			got[k] = e
+		}
+		ts.Close()
+		s.Close()
 	}
 
 	// Reference: train every unique group directly, cold, from the same
@@ -425,7 +438,7 @@ func TestServerDisabledIndexBitIdentical(t *testing.T) {
 	comp := accqoc.New(fastOpts())
 	cfg := comp.Options().Precompile
 	want := map[string]*precompile.Entry{}
-	for _, progSrc := range []string{oneQubitProgram, rxAProgram} {
+	for _, progSrc := range []string{rxAProgram, cx2qAProgram} {
 		prog, err := qasm.Parse(progSrc)
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +463,6 @@ func TestServerDisabledIndexBitIdentical(t *testing.T) {
 		}
 	}
 
-	got := s.Store().Snapshot().Entries
 	if len(got) != len(want) {
 		t.Fatalf("store has %d entries, reference %d", len(got), len(want))
 	}

@@ -158,13 +158,3 @@ func SequentialSequence(n int) []Step {
 	}
 	return steps
 }
-
-// ColdSequence compiles every group from the identity — the brute-force
-// baseline with no warm starts at all.
-func ColdSequence(n int) []Step {
-	steps := make([]Step, n)
-	for i := 0; i < n; i++ {
-		steps[i] = Step{Group: i, WarmFrom: -1}
-	}
-	return steps
-}

@@ -135,12 +135,6 @@ func TestSequenceHelpers(t *testing.T) {
 	if seq[0].WarmFrom != -1 || seq[2].WarmFrom != 1 {
 		t.Fatalf("sequential = %+v", seq)
 	}
-	cold := ColdSequence(3)
-	for _, s := range cold {
-		if s.WarmFrom != -1 {
-			t.Fatal("cold sequence must have no warm starts")
-		}
-	}
 }
 
 func TestPrimRootValidation(t *testing.T) {

@@ -17,14 +17,14 @@
 //	accqoc-server -job-ttl 1h -job-cap 4096  # async job ledger sizing
 //	accqoc-server -async-jobs=false       # refuse ?async=1 submissions
 //	accqoc-server -log-format json        # structured JSON logs for pipelines
-//	accqoc-server -observability=false    # no /metrics, /debug/requests, or hooks
 //	accqoc-server -capacity 4096 -cache-policy cost  # evict by training cost, not recency
 //	accqoc-server -prefetch               # speculative re-training during idle cycles
 //
-// Observability is on by default: Prometheus text exposition at
-// GET /metrics, the request flight recorder (per-stage compile traces) at
-// GET /debug/requests, and an X-Request-Id header on every response,
-// echoed in request-path log records.
+// Every server exposes Prometheus text exposition at GET /metrics, the
+// request flight recorder (per-stage compile traces) at GET /debug/requests,
+// and an X-Request-Id header on every response, echoed in request-path log
+// records. Every device keeps a cost-and-usage ledger (GET /v1/library/usage,
+// GET /debug/costs), the input of -cache-policy cost and -prefetch.
 //
 // Cache misses warm-start: uncovered groups are MST-ordered per request
 // and seeded from the similarity index over covered library entries.
@@ -51,7 +51,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -90,20 +89,14 @@ func main() {
 	maxGates := flag.Int("max-gates", 4096, "per-request gate budget")
 	fidelity := flag.Float64("fidelity", 1e-3, "GRAPE target infidelity")
 	maxIter := flag.Int("max-iter", 600, "GRAPE iteration cap per optimization")
-	grapeParallel := flag.Int("grape-parallel", 0,
-		"per-segment GRAPE workers per training (0 = auto: sequential when the request pool has >1 worker; negative = always sequential)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060 (empty = disabled)")
 	logFormat := flag.String("log-format", "text", "structured log output: text | json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
-	observability := flag.Bool("observability", true,
-		"expose /metrics and /debug/requests and record pipeline metrics/traces; false disables all instrumentation")
-	usageAcct := flag.Bool("usage", true,
-		"account per-entry training cost, request co-occurrence, and eviction regret per device (GET /v1/library/usage, /debug/costs, accqoc_usage_* metrics); false disables the ledgers")
 	usageHistory := flag.Int("usage-history", 256, "request-history ring size per device for the co-occurrence miner")
 	cachePolicy := flag.String("cache-policy", "lru",
-		"library eviction policy: lru (historical behavior) | cost (evict the lowest iterations*hits score from the usage ledger; requires -usage)")
+		"library eviction policy: lru (historical behavior) | cost (evict the lowest iterations*hits score from the usage ledger)")
 	prefetch := flag.Bool("prefetch", false,
-		"speculatively re-train predicted-miss keys during idle cycles, strictly below request traffic, each warm-seeded from the similarity seed index when a similar entry is covered (requires -usage)")
+		"speculatively re-train predicted-miss keys during idle cycles, strictly below request traffic, each warm-seeded from the similarity seed index when a similar entry is covered")
 	prefetchEvery := flag.Duration("prefetch-interval", 50*time.Millisecond, "prefetcher idle-cycle period")
 	prefetchDepth := flag.Int("prefetch-depth", 4, "ranked predictions examined per device per prefetch cycle")
 	flag.Parse()
@@ -123,12 +116,6 @@ func main() {
 	case devreg.PolicyLRU, devreg.PolicyCostAware:
 	default:
 		fatal("unknown -cache-policy (want lru or cost)", "policy", *cachePolicy)
-	}
-	if *cachePolicy == devreg.PolicyCostAware && !*usageAcct {
-		fatal("-cache-policy cost requires -usage (the ledger is the cost signal)")
-	}
-	if *prefetch && !*usageAcct {
-		fatal("-prefetch requires -usage (predictions are mined from the request history)")
 	}
 
 	var policy grouping.Policy
@@ -201,48 +188,33 @@ func main() {
 
 	storeOpts := libstore.Options{Shards: *shards, Capacity: *capacity}
 
-	segWorkers := *grapeParallel
-	if segWorkers == 0 {
-		pool := *workers
-		if pool == 0 {
-			pool = runtime.GOMAXPROCS(0)
-		}
-		if pool > 1 {
-			// The request pool already parallelizes across trainings;
-			// per-segment workers inside each would oversubscribe.
-			segWorkers = -1
-		}
-	}
-
 	srv := server.New(server.Config{
 		Compile: accqoc.Options{
 			Device: dev,
 			Policy: policy,
 			Precompile: precompile.Config{
 				Ham:   bootHam,
-				Grape: grape.Options{TargetInfidelity: *fidelity, MaxIterations: *maxIter, Parallel: segWorkers},
+				Grape: grape.Options{TargetInfidelity: *fidelity, MaxIterations: *maxIter},
 			},
 		},
-		Store:                libstore.New(storeOpts),
-		StoreOptions:         storeOpts,
-		DeviceName:           *deviceName,
-		Devices:              extras,
-		BootSnapshot:         *libPath,
-		BootSnapshotForce:    *libForce,
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		DisableAsyncJobs:     !*asyncJobs,
-		JobTTL:               *jobTTL,
-		JobCap:               *jobCap,
-		MaxGates:             *maxGates,
-		DisableObservability: !*observability,
-		DisableUsage:         !*usageAcct,
-		UsageHistorySize:     *usageHistory,
-		CachePolicy:          *cachePolicy,
-		EnablePrefetch:       *prefetch,
-		PrefetchInterval:     *prefetchEvery,
-		PrefetchDepth:        *prefetchDepth,
-		Logger:               logger,
+		Store:             libstore.New(storeOpts),
+		StoreOptions:      storeOpts,
+		DeviceName:        *deviceName,
+		Devices:           extras,
+		BootSnapshot:      *libPath,
+		BootSnapshotForce: *libForce,
+		Workers:           *workers,
+		QueueDepth:        *queue,
+		DisableAsyncJobs:  !*asyncJobs,
+		JobTTL:            *jobTTL,
+		JobCap:            *jobCap,
+		MaxGates:          *maxGates,
+		UsageHistorySize:  *usageHistory,
+		CachePolicy:       *cachePolicy,
+		EnablePrefetch:    *prefetch,
+		PrefetchInterval:  *prefetchEvery,
+		PrefetchDepth:     *prefetchDepth,
+		Logger:            logger,
 	})
 
 	if *pprofAddr != "" {
@@ -378,7 +350,7 @@ func main() {
 		logger.Info("accqoc-server listening",
 			"component", "main", "addr", *addr, "device", dev.Name,
 			"extra_devices", len(extras), "policy", policy.Name,
-			"shards", *shards, "observability", *observability)
+			"shards", *shards)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal("listen failed", "addr", *addr, "error", err.Error())
 		}

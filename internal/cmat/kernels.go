@@ -76,7 +76,7 @@ func eigenHermitian2x2(a *Matrix, out *HermitianEigen) {
 	if delta >= 0 {
 		// v0 = (b, −(r+delta)), v1 = (r+delta, conj(b)).
 		v.Data[0] = b * inv
-		v.Data[2] = complex(-(r + delta), 0) * inv
+		v.Data[2] = complex(-(r+delta), 0) * inv
 		v.Data[1] = complex(r+delta, 0) * inv
 		v.Data[3] = bc * inv
 	} else {

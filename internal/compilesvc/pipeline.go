@@ -231,7 +231,7 @@ func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq [
 		resp.CoverageRate = 1
 	}
 	resp.WarmServed = resp.UncoveredUnique == 0
-	if ns.Usage != nil && len(uniq) > 0 {
+	if len(uniq) > 0 {
 		// File the request window with the cost ledger: resolveGroups is
 		// the single chokepoint of the compile, circuit, and async-batch
 		// paths, so a batch's shared pass records its union as one

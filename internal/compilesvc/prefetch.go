@@ -203,7 +203,7 @@ func (pf *Prefetcher) runDevice(name string) {
 		return
 	}
 	defer ns.Release()
-	if ns.Usage == nil || ns.Targets == nil {
+	if ns.Targets == nil {
 		return
 	}
 	// Idle gate: speculation runs strictly below request traffic.

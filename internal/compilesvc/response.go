@@ -31,8 +31,8 @@ type Request struct {
 	// additionally inlines the referenced waveforms.
 	Circuit   bool
 	Waveforms bool
-	// Trace is the request's pipeline trace; nil when observability is
-	// off (every span call is nil-safe).
+	// Trace is the request's pipeline trace; nil for a caller that does
+	// not trace (every span call is nil-safe).
 	Trace *obs.Trace
 
 	// queueSpan times the handler→worker handoff on the synchronous

@@ -81,18 +81,15 @@ type Config struct {
 	// candidate distance and admission verdict — the observability tap for
 	// the fleet-wide seed-distance histogram.
 	SeedObserver func(distance float64, admitted bool)
-	// DisableUsage turns off per-device cost-and-usage ledgers. With a
-	// ledger on, every epoch's store hook additionally feeds the device's
+	// Usage tunes the per-device cost-and-usage ledgers (history-ring
+	// size, pair cap). Every epoch's store hook feeds its device's
 	// usage.Ledger; the ledger outlives epochs, so cost history survives
 	// recalibrations.
-	DisableUsage bool
-	// Usage tunes the per-device ledgers (history-ring size, pair cap).
 	Usage usage.Options
 	// CachePolicy selects every namespace store's eviction victim policy:
 	// PolicyLRU (or empty — the default, byte-identical to the historical
 	// behavior) or PolicyCostAware, which evicts the lowest
-	// iterations×hits score as measured by the device's usage ledger and
-	// therefore requires usage accounting.
+	// iterations×hits score as measured by the device's usage ledger.
 	CachePolicy string
 	// EnablePrefetch retains per-device training targets (TargetCache)
 	// past eviction so the speculative-training driver can re-train
@@ -127,9 +124,9 @@ type Namespace struct {
 	// the anchor for epoch-age gauges.
 	CreatedAt time.Time
 	// Usage is the owning device's cost ledger (shared across this
-	// device's epochs), nil when disabled. The training tier files each
-	// resolved request's key set here; store mutations and lookups feed it
-	// through the store hook.
+	// device's epochs). The training tier files each resolved request's
+	// key set here; store mutations and lookups feed it through the store
+	// hook.
 	Usage *usage.Ledger
 	// Targets is the owning device's retained-training-target cache (the
 	// prefetcher's work source), nil unless prefetch is enabled. Shared
@@ -233,10 +230,9 @@ type deviceState struct {
 	current  *Namespace
 	draining *Namespace
 	roll     RollStatus
-	// usage is the device's cost ledger, nil when disabled. It lives on
-	// the device, not the namespace: calibration epochs come and go, the
-	// accumulated cost history stays (keys are content addresses shared
-	// across epochs).
+	// usage is the device's cost ledger. It lives on the device, not the
+	// namespace: calibration epochs come and go, the accumulated cost
+	// history stays (keys are content addresses shared across epochs).
 	usage *usage.Ledger
 	// policy is the device's cost-aware eviction policy (nil under pure
 	// LRU); like the ledger it scores, it is epoch-stable and installed on
@@ -319,16 +315,10 @@ func (r *Registry) register(p Profile, store *libstore.Store) error {
 	if _, ok := r.devices[p.Name]; ok {
 		return fmt.Errorf("devreg: device %q already registered", p.Name)
 	}
-	d := &deviceState{name: p.Name}
-	if !r.cfg.DisableUsage {
-		d.usage = usage.NewLedger(r.cfg.Usage)
-	}
+	d := &deviceState{name: p.Name, usage: usage.NewLedger(r.cfg.Usage)}
 	switch r.cfg.CachePolicy {
 	case "", PolicyLRU:
 	case PolicyCostAware:
-		if d.usage == nil {
-			return fmt.Errorf("devreg: cache policy %q requires usage accounting", PolicyCostAware)
-		}
 		d.policy = libstore.CostAware(d.usage)
 	default:
 		return fmt.Errorf("devreg: unknown cache policy %q (want %q or %q)", r.cfg.CachePolicy, PolicyLRU, PolicyCostAware)
@@ -396,10 +386,7 @@ func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *se
 	// never missed. The tee keeps the seed index and the device's usage
 	// ledger coherent off one registration; access (hit/miss) events
 	// reach only the ledger.
-	hooks := []libstore.Hook{seeds}
-	if d.usage != nil {
-		hooks = append(hooks, d.usage)
-	}
+	hooks := []libstore.Hook{seeds, d.usage}
 	if d.targets != nil {
 		// After the seed index on purpose: the recorder reads the unitary
 		// the index just cached for the same EntryAdded.
@@ -408,9 +395,7 @@ func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *se
 	store.SetHook(libstore.TeeHooks(hooks...))
 	snap := store.Snapshot()
 	seeds.AddLibrary(snap)
-	if d.usage != nil {
-		d.usage.AddLibrary(snap)
-	}
+	d.usage.AddLibrary(snap)
 	ns.Seeds = seeds
 	return ns
 }
@@ -438,7 +423,7 @@ func (r *Registry) Acquire(name string) (*Namespace, error) {
 
 // UsageLedger resolves a device name ("" = default) to its cost ledger.
 // The ledger is per-device and epoch-stable, so the returned pointer stays
-// valid across calibrations; it is nil when usage accounting is disabled.
+// valid across calibrations.
 func (r *Registry) UsageLedger(name string) (*usage.Ledger, error) {
 	r.mu.RLock()
 	if name == "" {

@@ -9,8 +9,7 @@
 //
 // The evaluation core is allocation-free in steady state: each Compile owns
 // an arena of per-segment buffers (see objective.go) reused across every
-// optimizer call, and the independent per-segment propagations can run on a
-// bounded worker set (Options.Parallel).
+// optimizer call.
 package grape
 
 import (
@@ -52,15 +51,6 @@ type Options struct {
 	// Iterations are summed across attempts so compile-cost accounting
 	// stays honest.
 	Restarts int
-	// Parallel bounds the workers used for per-segment propagation inside
-	// each objective evaluation (segments are independent; only the
-	// cumulative products are sequential). 0 selects the automatic policy:
-	// up to GOMAXPROCS (capped at 8) for multi-qubit systems, sequential
-	// for single-qubit ones. Negative forces sequential evaluation —
-	// schedulers that already parallelize across groups (precompile's
-	// ParallelBuild, the serving worker pool) set this to avoid
-	// oversubscription. Results are bit-identical for every setting.
-	Parallel int
 	// IterationHook, when set, observes every accepted optimizer iteration
 	// across all restart attempts: the current infidelity (cost) and the
 	// step norm ‖Δx‖₂. Observability taps it to feed convergence

@@ -3,9 +3,6 @@ package grape
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"accqoc/internal/cmat"
 	"accqoc/internal/hamiltonian"
@@ -22,32 +19,27 @@ import (
 // input vector: the line search prices every trial point with Evaluate and
 // asks for the gradient at the same x only where it reads the slope or
 // accepts the point (the optimize.Objective call protocol), and that
-// Gradient call repeats no propagation. Per-segment buffers are indexed by
-// segment, so the forward pass can run its independent segments on a
-// bounded set of workers (Options.Parallel) with no locking and
-// bit-identical results to the sequential path.
+// Gradient call repeats no propagation.
 type objective struct {
-	sys     *hamiltonian.System
-	target  *cmat.Matrix
-	dt      float64
-	nSeg    int
-	nCtl    int
-	opts    Options
-	workers int
+	sys    *hamiltonian.System
+	target *cmat.Matrix
+	dt     float64
+	nSeg   int
+	nCtl   int
+	opts   Options
 
 	targetDag *cmat.Matrix
 
-	// Per-segment arena: segment s touches only index-s buffers, keeping
-	// the parallel forward pass trivially data-race-free.
-	h      []*cmat.Matrix            // assembled Hamiltonian
-	eigs   []*cmat.HermitianEigen    // spectral decomposition of h
-	ws     []*cmat.JacobiWorkspace   // eigensolver scratch
-	vDag   []*cmat.Matrix            // Dagger(eigs.Vectors), cached for the gradient
-	expMu  [][]complex128            // e^{−i·dt·λ} per eigenvalue
-	props  []*cmat.Matrix            // segment propagator U_s
-	fwd    []*cmat.Matrix            // U_s···U_1
-	bwd    []*cmat.Matrix            // U_N···U_{s+1} (gradient only)
-	segScr []*cmat.Matrix            // per-segment propagator-assembly scratch
+	// Per-segment arena: segment s touches only index-s buffers.
+	h      []*cmat.Matrix          // assembled Hamiltonian
+	eigs   []*cmat.HermitianEigen  // spectral decomposition of h
+	ws     []*cmat.JacobiWorkspace // eigensolver scratch
+	vDag   []*cmat.Matrix          // Dagger(eigs.Vectors), cached for the gradient
+	expMu  [][]complex128          // e^{−i·dt·λ} per eigenvalue
+	props  []*cmat.Matrix          // segment propagator U_s
+	fwd    []*cmat.Matrix          // U_s···U_1
+	bwd    []*cmat.Matrix          // U_N···U_{s+1} (gradient only)
+	segScr []*cmat.Matrix          // per-segment propagator-assembly scratch
 
 	// Sequential gradient scratch.
 	left, rl, t1, m, w, t2, s2, id *cmat.Matrix
@@ -98,7 +90,6 @@ func newObjective(sys *hamiltonian.System, target *cmat.Matrix, duration float64
 		nSeg:      opts.Segments,
 		nCtl:      len(sys.Controls),
 		opts:      opts,
-		workers:   resolveWorkers(opts.Parallel, n, opts.Segments),
 		targetDag: cmat.Dagger(target),
 		left:      cmat.New(n, n),
 		rl:        cmat.New(n, n),
@@ -135,31 +126,6 @@ func newObjective(sys *hamiltonian.System, target *cmat.Matrix, duration float64
 	}
 	o.lastX = make([]float64, o.nSeg*o.nCtl)
 	return o
-}
-
-// resolveWorkers maps the Options.Parallel knob to a concrete worker count.
-// 0 selects the automatic policy: parallel segments for multi-qubit systems
-// (dim ≥ 4, where a segment carries enough work to pay for handoff), capped
-// by GOMAXPROCS; single-qubit segments are too cheap to farm out.
-func resolveWorkers(parallel, dim, segments int) int {
-	w := parallel
-	if w == 0 {
-		if dim >= 4 {
-			w = runtime.GOMAXPROCS(0)
-			if w > 8 {
-				w = 8
-			}
-		} else {
-			w = 1
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > segments {
-		w = segments
-	}
-	return w
 }
 
 func (o *objective) initialVector(seed *pulse.Pulse) []float64 {
@@ -251,35 +217,9 @@ func (o *objective) forward(x []float64) bool {
 		return true
 	}
 	o.fwdValid = false
-	if o.workers > 1 {
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < o.workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= o.nSeg || failed.Load() {
-						return
-					}
-					if err := o.segmentForward(s, x); err != nil {
-						failed.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if failed.Load() {
+	for s := 0; s < o.nSeg; s++ {
+		if err := o.segmentForward(s, x); err != nil {
 			return false
-		}
-	} else {
-		for s := 0; s < o.nSeg; s++ {
-			if err := o.segmentForward(s, x); err != nil {
-				return false
-			}
 		}
 	}
 	// Cumulative products are inherently sequential: fwd[s] = U_s···U_1.
@@ -397,8 +337,8 @@ func (o *objective) Gradient(x, grad []float64) float64 {
 				o.w.Data[j*n+i] = o.m.Data[i*n+j] * complex(0, -o.dt) * gamma
 			}
 		}
-		cmat.MulABtInto(o.t2, o.w, v)      // T = W·Vᵀ
-		cmat.MulConjInto(o.s2, v, o.t2)    // S = conj(V)·T
+		cmat.MulABtInto(o.t2, o.w, v)   // T = W·Vᵀ
+		cmat.MulConjInto(o.s2, v, o.t2) // S = conj(V)·T
 		for c := 0; c < o.nCtl; c++ {
 			nz := &o.ctlNZ[c]
 			var dG complex128

@@ -58,9 +58,9 @@ type System struct {
 // The JSON tags are the wire format of the calibration-epoch admin API,
 // where a recalibration ships perturbed Hamiltonian parameters.
 type Config struct {
-	MaxAmp   float64 `json:"max_amp,omitempty"`   // drive bound, rad/ns
-	Coupling float64 `json:"coupling,omitempty"`  // ZZ exchange J, rad/ns
-	Detuning float64 `json:"detuning,omitempty"`  // rotating-frame detuning, rad/ns
+	MaxAmp   float64 `json:"max_amp,omitempty"`  // drive bound, rad/ns
+	Coupling float64 `json:"coupling,omitempty"` // ZZ exchange J, rad/ns
+	Detuning float64 `json:"detuning,omitempty"` // rotating-frame detuning, rad/ns
 }
 
 func (c Config) withDefaults() Config {

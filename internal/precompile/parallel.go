@@ -35,11 +35,6 @@ func ParallelBuild(uniq []*grouping.UniqueGroup, cfg Config, workers int) (*Para
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > 1 && cfg.Grape.Parallel == 0 {
-		// Group-level parallelism already saturates the cores; per-segment
-		// workers inside each GRAPE evaluation would only oversubscribe.
-		cfg.Grape.Parallel = -1
-	}
 	out := &ParallelBuildResult{
 		Library: NewLibrary(),
 		Stats:   &BuildStats{},

@@ -82,11 +82,8 @@ func (s *Server) dispatchAsync(w http.ResponseWriter, r *http.Request, req Compi
 	// middleware's trace covers only the 202 submission. It is filed to
 	// the flight recorder when the job completes, spans batch_wait and
 	// queue included.
-	var tr *obs.Trace
-	if s.obs != nil {
-		tr = obs.NewTrace(id, endpoint+"?async=1")
-		tr.SetMeta(ns.DeviceName, ns.Epoch, prog.NumQubits, prog.GateCount())
-	}
+	tr := obs.NewTrace(id, endpoint+"?async=1")
+	tr.SetMeta(ns.DeviceName, ns.Epoch, prog.NumQubits, prog.GateCount())
 
 	begin := time.Now()
 	device := req.Device
@@ -145,11 +142,8 @@ func (s *Server) dispatchAsync(w http.ResponseWriter, r *http.Request, req Compi
 }
 
 // recordJobTrace finishes an async job's pipeline trace and files it to
-// the flight recorder; nil-safe under disabled observability.
+// the flight recorder.
 func (s *Server) recordJobTrace(tr *obs.Trace, code int, errMsg string) {
-	if s.obs == nil || tr == nil {
-		return
-	}
 	tr.Finish(code, errMsg)
 	s.obs.recorder.Record(tr)
 }

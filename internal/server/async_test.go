@@ -427,22 +427,23 @@ func TestAsyncDisabled(t *testing.T) {
 // namespace concurrently. Training must stay exactly-once per unique
 // group (hook-counted AND store-counted), no submitted job may be lost or
 // stranded non-terminal, the store and seed index stay coherent, and the
-// training tier drains to zero in-flight on Close.
+// training tier drains to zero in-flight on Close. The caller's training
+// hooks run next to the server's own metrics, which count the same events.
 func TestMixedSyncAsyncExactlyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pulses; skipped in -short")
 	}
 	opts := fastOpts()
-	var hookTrained atomic.Int64
-	// Observability is disabled so the counting hook below survives New
-	// (the obs layer would otherwise claim the observer slot).
+	var hookTrained, hookIters atomic.Int64
 	opts.Precompile.Observer = func(numQubits, iterations int, infidelity float64, seeded bool) {
 		hookTrained.Add(1)
 	}
+	opts.Precompile.Grape.IterationHook = func(infidelity, stepNorm float64) {
+		hookIters.Add(1)
+	}
 	s := New(Config{
 		Compile: opts, Workers: 4,
-		DisableObservability: true,
-		AsyncBatchWindow:     2 * time.Millisecond,
+		AsyncBatchWindow: 2 * time.Millisecond,
 	})
 	ts := httptest.NewServer(s.Handler())
 
@@ -546,6 +547,18 @@ func TestMixedSyncAsyncExactlyOnce(t *testing.T) {
 	}
 	if hookTrained.Load() != st.Trainings {
 		t.Fatalf("hook counted %d trainings, store %d", hookTrained.Load(), st.Trainings)
+	}
+	// The server's metrics count the same trainings and iterations as the
+	// caller's hooks: composing them dropped neither side.
+	exp := scrapeMetrics(t, ts.URL)
+	if got := exp.sumSeries("accqoc_grape_training_iterations_count"); got != float64(hookTrained.Load()) {
+		t.Errorf("training-iterations histogram counted %v trainings, hook %d", got, hookTrained.Load())
+	}
+	if hookIters.Load() == 0 {
+		t.Error("iteration hook never ran")
+	}
+	if got := exp.sumSeries("accqoc_grape_optimizer_iterations_total"); got != float64(hookIters.Load()) {
+		t.Errorf("optimizer-iterations counter = %v, hook counted %d", got, hookIters.Load())
 	}
 	// Store and seed index coherent after the mixed load.
 	stats := getStats(t, ts.URL)

@@ -7,12 +7,8 @@ package server
 // the seed-distance histogram (seedindex observer via devreg), per-device
 // store/roll/epoch collectors read from the device registry at scrape
 // time — plus the request flight recorder behind GET /debug/requests.
-//
-// Everything here is skipped wholesale under Config.DisableObservability:
-// New leaves s.obs nil, instrument() returns handlers unwrapped, no hook
-// is installed anywhere, and the /metrics and /debug/requests routes are
-// never registered, so the disabled server is bit-identical to the
-// pre-observability one.
+// None of it feeds back into serving decisions: responses and trained
+// pulses do not depend on what is recorded here.
 
 import (
 	"net/http"
@@ -21,6 +17,7 @@ import (
 
 	"accqoc/internal/devreg"
 	"accqoc/internal/obs"
+	"accqoc/internal/precompile"
 )
 
 // obsState bundles the server's metric instruments and flight recorder.
@@ -78,6 +75,25 @@ func newObsState(recorderSize int) *obsState {
 			"admitted"),
 	}
 	return ob
+}
+
+// install plants the server's training hooks in cfg, the option template
+// every namespace's compiler copies. Each runs after the hook the caller
+// set there, if any, so a server never silences its caller's own hooks.
+func (ob *obsState) install(cfg *precompile.Config) {
+	iter, train := cfg.Grape.IterationHook, cfg.Observer
+	cfg.Grape.IterationHook = func(infidelity, stepNorm float64) {
+		if iter != nil {
+			iter(infidelity, stepNorm)
+		}
+		ob.grapeIterHook(infidelity, stepNorm)
+	}
+	cfg.Observer = func(numQubits, iterations int, infidelity float64, seeded bool) {
+		if train != nil {
+			train(numQubits, iterations, infidelity, seeded)
+		}
+		ob.trainingObserver(numQubits, iterations, infidelity, seeded)
+	}
 }
 
 // grapeIterHook feeds the per-iteration convergence metrics; it runs once
@@ -209,12 +225,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // generation (returned in X-Request-Id and threaded through the
 // context), in-flight gauge, per-endpoint latency histogram and request
 // counter, and — for compile endpoints (record=true) — a pipeline trace
-// filed to the flight recorder. With observability disabled it returns
-// the handler unwrapped, leaving responses byte-identical.
+// filed to the flight recorder.
 func (s *Server) instrument(endpoint string, record bool, h http.HandlerFunc) http.HandlerFunc {
-	if s.obs == nil {
-		return h
-	}
 	ob := s.obs
 	latency := ob.httpLatency.With(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -266,8 +278,5 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // observeCompile records the per-device compile latency once a dispatch
 // resolves (success or pipeline failure — both consumed a worker).
 func (s *Server) observeCompile(device string, elapsed time.Duration) {
-	if s.obs == nil {
-		return
-	}
 	s.obs.deviceLatency.With(device).Observe(elapsed.Seconds())
 }

@@ -464,76 +464,6 @@ func TestMetricsCoherenceUnderLoad(t *testing.T) {
 	}
 }
 
-// TestDisableObservabilityEquivalence pins the escape hatch: with
-// observability disabled the server neither exposes the new endpoints nor
-// stamps responses, and the library it builds is bit-identical to the
-// instrumented server's — the hooks must not perturb training.
-func TestDisableObservabilityEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains pulses; skipped in -short")
-	}
-	plain := New(Config{Compile: fastOpts(), Workers: 4, DisableObservability: true})
-	tsPlain := httptest.NewServer(plain.Handler())
-	defer func() { tsPlain.Close(); plain.Close() }()
-	instr := New(Config{Compile: fastOpts(), Workers: 4})
-	tsInstr := httptest.NewServer(instr.Handler())
-	defer func() { tsInstr.Close(); instr.Close() }()
-
-	respPlain := postRaw(t, tsPlain.URL, oneQubitProgram)
-	respInstr := postRaw(t, tsInstr.URL, oneQubitProgram)
-
-	if rid := respPlain.header.Get("X-Request-Id"); rid != "" {
-		t.Errorf("disabled server stamped X-Request-Id %q", rid)
-	}
-	if rid := respInstr.header.Get("X-Request-Id"); rid == "" {
-		t.Error("instrumented server missing X-Request-Id")
-	}
-	for _, path := range []string{"/metrics", "/debug/requests"} {
-		resp, err := http.Get(tsPlain.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("disabled server serves %s (status %d)", path, resp.StatusCode)
-		}
-	}
-
-	// Response bodies agree once the wall-clock field is masked.
-	var a, b CompileResponse
-	if err := json.Unmarshal(respPlain.body, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(respInstr.body, &b); err != nil {
-		t.Fatal(err)
-	}
-	a.CompileMillis, b.CompileMillis = 0, 0
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("responses diverge:\nplain %+v\ninstr %+v", a, b)
-	}
-
-	// And the trained libraries are bit-identical.
-	got := plain.Store().Snapshot().Entries
-	want := instr.Store().Snapshot().Entries
-	if len(got) != len(want) || len(got) == 0 {
-		t.Fatalf("store sizes diverge: %d vs %d", len(got), len(want))
-	}
-	for key, w := range want {
-		g, ok := got[key]
-		if !ok {
-			t.Fatalf("disabled store missing %q", key)
-		}
-		if g.Iterations != w.Iterations || g.LatencyNs != w.LatencyNs {
-			t.Fatalf("entry %q diverges: iterations %d vs %d, latency %v vs %v",
-				key, g.Iterations, w.Iterations, g.LatencyNs, w.LatencyNs)
-		}
-		if !reflect.DeepEqual(g.Pulse.Amps, w.Pulse.Amps) || g.Pulse.Dt != w.Pulse.Dt {
-			t.Fatalf("entry %q pulse not bit-identical across observability modes", key)
-		}
-	}
-}
-
 type rawResponse struct {
 	header http.Header
 	body   []byte

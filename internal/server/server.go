@@ -98,22 +98,10 @@ type Config struct {
 	// training tier to share one resolveGroups pass with same-namespace
 	// company. Default 2ms.
 	AsyncBatchWindow time.Duration
-	// DisableObservability turns off the whole telemetry layer: no
-	// /metrics or /debug/requests routes, no request IDs or X-Request-Id
-	// header, no pipeline hooks — responses are byte-identical to the
-	// pre-observability server.
-	DisableObservability bool
 	// FlightRecorderSize bounds the request flight recorder: the last N
 	// traces and the N slowest are kept for GET /debug/requests.
 	// Default 64.
 	FlightRecorderSize int
-	// DisableUsage turns off cost-and-usage accounting: no per-device
-	// ledgers, no GET /v1/library/usage or /debug/costs routes, no
-	// accqoc_usage_* metric families. Usage is independent of
-	// DisableObservability (the endpoints work without /metrics); it is
-	// policy-free either way — responses and trained libraries are
-	// bit-identical with it on or off.
-	DisableUsage bool
 	// UsageHistorySize bounds the per-device request-history ring the
 	// co-occurrence miner reads. Default 256.
 	UsageHistorySize int
@@ -121,15 +109,13 @@ type Config struct {
 	// namespace store: "lru" (or empty — the default, byte-identical to
 	// the historical behavior) or "cost", which evicts the lowest
 	// iterations×hits score as measured by the device's usage ledger.
-	// "cost" requires usage accounting (DisableUsage must be false).
 	CachePolicy string
 	// EnablePrefetch starts the idle-cycle speculative-training driver:
 	// when the compile queue is empty and a worker is free, the top
 	// predicted-miss keys (mined from the usage ledger's request history)
 	// are re-trained through the ordinary store singleflight at strictly
-	// lower priority than request traffic. Requires usage accounting; does
-	// nothing useful without the seed index (training targets are learned
-	// from it).
+	// lower priority than request traffic. Does nothing useful without the
+	// seed index (training targets are learned from it).
 	EnablePrefetch bool
 	// PrefetchInterval is the prefetcher's idle-cycle period. Default 50ms.
 	PrefetchInterval time.Duration
@@ -256,8 +242,7 @@ type Server struct {
 	compileNs                    atomic.Int64
 
 	// obs is the observability bundle (metrics registry, flight recorder,
-	// pipeline hooks); nil under Config.DisableObservability, and every
-	// recording site nil-checks it.
+	// pipeline hooks).
 	obs    *obsState
 	logger *slog.Logger
 
@@ -276,31 +261,25 @@ func New(cfg Config) *Server {
 	// BEFORE the registry copies it into namespaces: every epoch's
 	// compiler (and every future epoch's, opened by a calibration)
 	// inherits them from cfg.Compile.
-	var ob *obsState
+	ob := newObsState(cfg.FlightRecorderSize)
 	regCfg := devreg.Config{
 		Base:           cfg.Compile,
 		StoreOptions:   cfg.StoreOptions,
-		DisableUsage:   cfg.DisableUsage,
+		SeedObserver:   ob.seedObserver,
 		Usage:          usage.Options{HistorySize: cfg.UsageHistorySize},
 		CachePolicy:    cfg.CachePolicy,
 		EnablePrefetch: cfg.EnablePrefetch,
 	}
-	if !cfg.DisableObservability {
-		ob = newObsState(cfg.FlightRecorderSize)
-		regCfg.Base.Precompile.Grape.IterationHook = ob.grapeIterHook
-		regCfg.Base.Precompile.Observer = ob.trainingObserver
-		regCfg.SeedObserver = ob.seedObserver
-	}
+	ob.install(&regCfg.Base.Precompile)
 	reg, err := devreg.New(regCfg, devreg.Profile{
 		Name:   cfg.DeviceName,
 		Device: cfg.Compile.Device,
 		Ham:    cfg.Compile.Precompile.Ham,
 	}, cfg.Store)
 	if err != nil {
-		// Reachable through an impossible default profile or an invalid
-		// policy combination (e.g. CachePolicy "cost" with usage disabled —
-		// the command validates its flags first); surface loudly rather
-		// than serving a half-built registry.
+		// Reachable through an impossible default profile or an unknown
+		// CachePolicy (the command validates its flags first); surface
+		// loudly rather than serving a half-built registry.
 		panic(err)
 	}
 	pool := compilesvc.New(compilesvc.Config{
@@ -341,20 +320,14 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", false, s.handleJobGet))
 		s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", false, s.handleJobDelete))
 	}
-	if !cfg.DisableUsage {
-		s.mux.HandleFunc("GET /v1/library/usage", s.instrument("/v1/library/usage", false, s.handleUsage))
-		s.mux.HandleFunc("GET /debug/costs", s.handleDebugCosts)
-	}
-	if ob != nil {
-		s.registerCollectors()
-		obs.RegisterRuntimeMetrics(ob.reg)
-		if !cfg.DisableUsage {
-			s.registerUsageCollectors()
-		}
-		s.registerPolicyCollectors()
-		s.mux.Handle("GET /metrics", ob.reg.Handler())
-		s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	}
+	s.mux.HandleFunc("GET /v1/library/usage", s.instrument("/v1/library/usage", false, s.handleUsage))
+	s.mux.HandleFunc("GET /debug/costs", s.handleDebugCosts)
+	s.registerCollectors()
+	obs.RegisterRuntimeMetrics(ob.reg)
+	s.registerUsageCollectors()
+	s.registerPolicyCollectors()
+	s.mux.Handle("GET /metrics", ob.reg.Handler())
+	s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	s.startBootLoad()
 	return s
 }
@@ -411,8 +384,7 @@ func (s *Server) Close() {
 // current-epoch namespace, run one request through the training tier,
 // and apply the failure/rejection accounting. A nil return means an
 // error response has already been written. r carries the request trace
-// and ID planted by the middleware (absent with observability off —
-// every obs call below is nil-safe).
+// and ID planted by the middleware.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, req CompileRequest, circuit, waveforms bool) *compilesvc.Result {
 	tr := obs.TraceFrom(r.Context())
 	sp := tr.StartSpan("parse")

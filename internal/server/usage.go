@@ -5,9 +5,7 @@ package server
 // (the full multi-device ledger dump next to /debug/requests), and the
 // accqoc_usage_* metric families. All of it reads the per-device
 // usage.Ledger owned by the device registry; nothing here feeds back into
-// serving decisions. The endpoints are gated on Config.DisableUsage alone
-// — they work with observability off — while the metric families
-// additionally need /metrics, i.e. observability on.
+// serving decisions.
 
 import (
 	"fmt"
@@ -93,7 +91,7 @@ func (s *Server) handleDebugCosts(w http.ResponseWriter, r *http.Request) {
 	out := DebugCostsResponse{Devices: []UsageResponse{}}
 	for _, name := range s.registry.Names() {
 		ledger, err := s.registry.UsageLedger(name)
-		if err != nil || ledger == nil {
+		if err != nil {
 			continue
 		}
 		resp := UsageResponse{Device: name, Report: ledger.Report(usageMaxTopN)}
@@ -113,7 +111,7 @@ func (s *Server) registerUsageCollectors() {
 		return func(e obs.Emit) {
 			for _, name := range s.registry.Names() {
 				ledger, err := s.registry.UsageLedger(name)
-				if err != nil || ledger == nil {
+				if err != nil {
 					continue
 				}
 				emit(e, name, ledger.Stats())

@@ -159,67 +159,6 @@ func TestUsageEndpointSchema(t *testing.T) {
 	}
 }
 
-// TestDisableUsageEquivalence pins the accounting's policy-freedom: with
-// the ledger off the usage endpoints vanish, and both the responses and
-// the trained library are bit-identical to the accounting server's.
-func TestDisableUsageEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains pulses; skipped in -short")
-	}
-	plain := New(Config{Compile: fastOpts(), Workers: 4, DisableUsage: true})
-	tsPlain := httptest.NewServer(plain.Handler())
-	defer func() { tsPlain.Close(); plain.Close() }()
-	acct := New(Config{Compile: fastOpts(), Workers: 4})
-	tsAcct := httptest.NewServer(acct.Handler())
-	defer func() { tsAcct.Close(); acct.Close() }()
-
-	respPlain := postRaw(t, tsPlain.URL, oneQubitProgram)
-	respAcct := postRaw(t, tsAcct.URL, oneQubitProgram)
-
-	for _, path := range []string{"/v1/library/usage", "/debug/costs"} {
-		resp, err := http.Get(tsPlain.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("disabled server serves %s (status %d)", path, resp.StatusCode)
-		}
-	}
-	getUsage(t, tsAcct.URL, "") // enabled server serves it
-
-	var a, b CompileResponse
-	if err := json.Unmarshal(respPlain.body, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(respAcct.body, &b); err != nil {
-		t.Fatal(err)
-	}
-	a.CompileMillis, b.CompileMillis = 0, 0
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("responses diverge:\nplain %+v\nacct  %+v", a, b)
-	}
-
-	got := plain.Store().Snapshot().Entries
-	want := acct.Store().Snapshot().Entries
-	if len(got) != len(want) || len(got) == 0 {
-		t.Fatalf("store sizes diverge: %d vs %d", len(got), len(want))
-	}
-	for key, w := range want {
-		g, ok := got[key]
-		if !ok {
-			t.Fatalf("disabled store missing %q", key)
-		}
-		if g.Iterations != w.Iterations || g.LatencyNs != w.LatencyNs {
-			t.Fatalf("entry %q diverges: iterations %d vs %d", key, g.Iterations, w.Iterations)
-		}
-		if !reflect.DeepEqual(g.Pulse.Amps, w.Pulse.Amps) || g.Pulse.Dt != w.Pulse.Dt {
-			t.Fatalf("entry %q pulse not bit-identical across usage modes", key)
-		}
-	}
-}
-
 // TestUsageSnapshotCycle pins the acceptance path: hit counts ride the
 // snapshot, and a server booted from it reports a ledger matching the
 // first server's counters.

@@ -109,30 +109,61 @@ func BuildDAG(c *Circuit) *DAG {
 	for i := range last {
 		last[i] = -1
 	}
+	// Every gate's predecessors live in one backing array: a gate has at
+	// most one per wire (three for CCX), kept sorted and unique by
+	// insertion.
+	refs := 0
+	for _, g := range c.Gates {
+		refs += len(g.Qubits)
+	}
+	all := make([]int, 0, refs)
 	for i, g := range c.Gates {
-		predSet := map[int]bool{}
+		start := len(all)
 		depth := 0
 		for _, q := range g.Qubits {
 			if p := last[q]; p >= 0 {
-				predSet[p] = true
-				if d.Depth[p]+1 > depth {
-					depth = d.Depth[p] + 1
-				}
+				all = insertSorted(all, start, p)
+				depth = max(depth, d.Depth[p]+1)
 			}
 			last[q] = i
 		}
 		d.Depth[i] = depth
-		preds := make([]int, 0, len(predSet))
-		for p := range predSet {
-			preds = append(preds, p)
+		d.Preds[i] = all[start:len(all):len(all)]
+	}
+	// Successor lists share a second array, each sized to its count first
+	// so that filling them in gate order never reallocates.
+	counts := make([]int, n)
+	for _, p := range all {
+		counts[p]++
+	}
+	succs := make([]int, len(all))
+	for p, k := range counts {
+		if k > 0 {
+			d.Succs[p], succs = succs[:0:k], succs[k:]
 		}
-		sort.Ints(preds)
-		d.Preds[i] = preds
+	}
+	for i, preds := range d.Preds {
 		for _, p := range preds {
 			d.Succs[p] = append(d.Succs[p], i)
 		}
 	}
 	return d
+}
+
+// insertSorted inserts p into the sorted, duplicate-free tail s[from:]
+// unless it is there already.
+func insertSorted(s []int, from, p int) []int {
+	j := len(s)
+	for j > from && s[j-1] > p {
+		j--
+	}
+	if j > from && s[j-1] == p {
+		return s
+	}
+	s = append(s, 0)
+	copy(s[j+1:], s[j:])
+	s[j] = p
+	return s
 }
 
 // NumLayers returns the circuit depth (number of ASAP layers).
@@ -150,6 +181,15 @@ func (d *DAG) NumLayers() int {
 // depth l, in program order.
 func (d *DAG) Layers() [][]int {
 	layers := make([][]int, d.NumLayers())
+	// The layers share one array, each sized to its count first.
+	counts := make([]int, len(layers))
+	for _, dep := range d.Depth {
+		counts[dep]++
+	}
+	all := make([]int, len(d.Depth))
+	for l, k := range counts {
+		layers[l], all = all[:0:k], all[k:]
+	}
 	for i, dep := range d.Depth {
 		layers[dep] = append(layers[dep], i)
 	}

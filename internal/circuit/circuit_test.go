@@ -3,6 +3,9 @@ package circuit
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"accqoc/internal/cmat"
@@ -188,5 +191,80 @@ func TestUsedQubitsAndTwoQubitCount(t *testing.T) {
 	}
 	if c.TwoQubitGateCount() != 1 {
 		t.Fatal("TwoQubitGateCount wrong")
+	}
+}
+
+// buildDAGRef is the reference model of BuildDAG: a map deduplicates each
+// gate's predecessors, which are then sorted.
+func buildDAGRef(c *Circuit) *DAG {
+	n := len(c.Gates)
+	d := &DAG{
+		Circuit: c,
+		Preds:   make([][]int, n),
+		Succs:   make([][]int, n),
+		Depth:   make([]int, n),
+	}
+	last := make([]int, c.NumQubits)
+	for i := range last {
+		last[i] = -1
+	}
+	for i, g := range c.Gates {
+		predSet := map[int]bool{}
+		depth := 0
+		for _, q := range g.Qubits {
+			if p := last[q]; p >= 0 {
+				predSet[p] = true
+				if d.Depth[p]+1 > depth {
+					depth = d.Depth[p] + 1
+				}
+			}
+			last[q] = i
+		}
+		d.Depth[i] = depth
+		preds := make([]int, 0, len(predSet))
+		for p := range predSet {
+			preds = append(preds, p)
+		}
+		sort.Ints(preds)
+		d.Preds[i] = preds
+		for _, p := range preds {
+			d.Succs[p] = append(d.Succs[p], i)
+		}
+	}
+	return d
+}
+
+// TestBuildDAGMatchesReference compares BuildDAG with buildDAGRef, and
+// Layers with appending each gate to its depth's layer, on random
+// circuits of one-, two- and three-qubit gates. Few wires make
+// repeated predecessors common: a CX or CCX right after a gate on the
+// same wires depends on it through every shared wire.
+func TestBuildDAGMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		n := 3 + rng.Intn(5)
+		c := New(n)
+		for g := rng.Intn(60); g > 0; g-- {
+			p := rng.Perm(n)
+			switch rng.Intn(4) {
+			case 0:
+				c.MustAppend(gate.H, p[:1])
+			case 1, 2:
+				c.MustAppend(gate.CX, p[:2])
+			default:
+				c.MustAppend(gate.CCX, p[:3])
+			}
+		}
+		got, want := BuildDAG(c), buildDAGRef(c)
+		if !reflect.DeepEqual(got.Preds, want.Preds) || !reflect.DeepEqual(got.Succs, want.Succs) || !reflect.DeepEqual(got.Depth, want.Depth) {
+			t.Fatalf("trial %d: BuildDAG %v %v %v, reference %v %v %v", trial, got.Preds, got.Succs, got.Depth, want.Preds, want.Succs, want.Depth)
+		}
+		wantLayers := make([][]int, want.NumLayers())
+		for i, dep := range want.Depth {
+			wantLayers[dep] = append(wantLayers[dep], i)
+		}
+		if layers := got.Layers(); !reflect.DeepEqual(layers, wantLayers) {
+			t.Fatalf("trial %d: Layers %v, reference %v", trial, layers, wantLayers)
+		}
 	}
 }

@@ -68,7 +68,9 @@ func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *Compile
 	}
 	vsp.End()
 
+	esp := tr.StartSpan("estimate")
 	finalizeResponse(resp, plan.Prepared.Physical, dev, sched.MakespanNs, begin)
+	esp.End()
 
 	out := &CircuitResponse{
 		Compile:    *resp,

@@ -31,8 +31,9 @@ const InflationFactor = 1.20
 func Metric(c *circuit.Circuit, dev *topology.Device) int {
 	dag := circuit.BuildDAG(c)
 	total := 0
+	var edges []topology.Edge
 	for _, layer := range dag.Layers() {
-		edges := layerCXEdges(c, layer)
+		edges = layerCXEdges(edges[:0], c, layer)
 		for i := 0; i < len(edges); i++ {
 			for j := i + 1; j < len(edges); j++ {
 				d := dev.EdgeDistance(edges[i], edges[j])
@@ -50,8 +51,9 @@ func PerLayer(c *circuit.Circuit, dev *topology.Device) []int {
 	dag := circuit.BuildDAG(c)
 	layers := dag.Layers()
 	out := make([]int, len(layers))
+	var edges []topology.Edge
 	for l, layer := range layers {
-		edges := layerCXEdges(c, layer)
+		edges = layerCXEdges(edges[:0], c, layer)
 		for i := 0; i < len(edges); i++ {
 			for j := i + 1; j < len(edges); j++ {
 				d := dev.EdgeDistance(edges[i], edges[j])
@@ -64,8 +66,9 @@ func PerLayer(c *circuit.Circuit, dev *topology.Device) []int {
 	return out
 }
 
-func layerCXEdges(c *circuit.Circuit, layer []int) []topology.Edge {
-	var edges []topology.Edge
+// layerCXEdges appends the coupling of every two-qubit gate in layer to
+// edges.
+func layerCXEdges(edges []topology.Edge, c *circuit.Circuit, layer []int) []topology.Edge {
 	for _, gi := range layer {
 		g := c.Gates[gi]
 		if len(g.Qubits) == 2 {
@@ -145,10 +148,15 @@ func ProgramFidelity(c *circuit.Circuit, dev *topology.Device, latencyNs float64
 	cal := dev.Calibration
 	m := NewPairErrorModel(dev)
 	dag := circuit.BuildDAG(c)
+	// base memoises BaselineError per undirected coupling for this call: a
+	// mapped program runs hundreds of CX gates on a few dozen couplings,
+	// and each BaselineError seeds a fresh RNG.
+	base := map[[2]int]float64{}
 
 	fidelity := 1.0
+	var edges []topology.Edge
 	for _, layer := range dag.Layers() {
-		edges := layerCXEdges(c, layer)
+		edges = layerCXEdges(edges[:0], c, layer)
 		for _, gi := range layer {
 			g := c.Gates[gi]
 			if len(g.Qubits) != 2 {
@@ -156,14 +164,19 @@ func ProgramFidelity(c *circuit.Circuit, dev *topology.Device, latencyNs float64
 				continue
 			}
 			self := topology.Edge{From: g.Qubits[0], To: g.Qubits[1]}
-			err := m.BaselineError(self.From, self.To)
+			pair := [2]int{min(self.From, self.To), max(self.From, self.To)}
+			err, ok := base[pair]
+			if !ok {
+				err = m.BaselineError(self.From, self.To)
+				base[pair] = err
+			}
 			for _, other := range edges {
 				if other == self {
 					continue
 				}
 				d := dev.EdgeDistance(self, other)
 				if d >= 0 && d <= CloseDistance {
-					err = m.CrosstalkError(self.From, self.To)
+					err *= InflationFactor // CrosstalkError's product
 					break
 				}
 			}

@@ -2,6 +2,7 @@ package crosstalk
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"accqoc/internal/circuit"
@@ -132,5 +133,105 @@ func TestProgramFidelity(t *testing.T) {
 	f3 := ProgramFidelity(c, dev, 50000)
 	if f3 >= f1 {
 		t.Fatal("longer latency should reduce fidelity")
+	}
+}
+
+// referenceFidelity is the reference model of ProgramFidelity: a fresh
+// BaselineError for every two-qubit gate and a fresh CrosstalkError for
+// every crosstalking one.
+func referenceFidelity(c *circuit.Circuit, dev *topology.Device, latencyNs float64) float64 {
+	cal := dev.Calibration
+	m := NewPairErrorModel(dev)
+	dag := circuit.BuildDAG(c)
+
+	fidelity := 1.0
+	for _, layer := range dag.Layers() {
+		edges := layerCXEdges(nil, c, layer)
+		for _, gi := range layer {
+			g := c.Gates[gi]
+			if len(g.Qubits) != 2 {
+				fidelity *= 1 - cal.Gate1QError
+				continue
+			}
+			self := topology.Edge{From: g.Qubits[0], To: g.Qubits[1]}
+			err := m.BaselineError(self.From, self.To)
+			for _, other := range edges {
+				if other == self {
+					continue
+				}
+				d := dev.EdgeDistance(self, other)
+				if d >= 0 && d <= CloseDistance {
+					err = m.CrosstalkError(self.From, self.To)
+					break
+				}
+			}
+			fidelity *= 1 - err
+		}
+	}
+	decay := 1.0
+	if cal.T1ns > 0 {
+		decay = math.Exp(-latencyNs / cal.T1ns)
+	}
+	return fidelity * decay
+}
+
+// randomCircuit draws gates on any qubits of dev, coupled or not: single-
+// qubit gates, CX and SWAP in both directions (so one coupling recurs in
+// both orders), and CCX.
+func randomCircuit(rng *rand.Rand, dev *topology.Device, gates int) *circuit.Circuit {
+	n := dev.NumQubits
+	c := circuit.New(n)
+	edges := dev.UndirectedEdges()
+	for i := 0; i < gates; i++ {
+		switch r := rng.Intn(10); {
+		case r < 3:
+			c.MustAppend(gate.T, []int{rng.Intn(n)})
+		case r < 8:
+			e := edges[rng.Intn(len(edges))]
+			if r == 7 {
+				p := rng.Perm(n)
+				e = topology.Edge{From: p[0], To: p[1]}
+			}
+			a, b := e.From, e.To
+			if rng.Intn(2) == 0 {
+				a, b = b, a
+			}
+			name := gate.CX
+			if r == 6 {
+				name = gate.Swap
+			}
+			c.MustAppend(name, []int{a, b})
+		default:
+			p := rng.Perm(n)
+			c.MustAppend(gate.CCX, p[:3])
+		}
+	}
+	return c
+}
+
+func TestProgramFidelityMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, dev := range []*topology.Device{topology.Melbourne(), topology.Grid(3, 3), topology.Linear(5)} {
+		for trial := 0; trial < 200; trial++ {
+			c := randomCircuit(rng, dev, 1+rng.Intn(300))
+			latency := 1e5 * rng.Float64()
+			got := ProgramFidelity(c, dev, latency)
+			if want := referenceFidelity(c, dev, latency); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s trial %d: ProgramFidelity = %v, reference %v", dev.Name, trial, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkProgramFidelity estimates the servebench pool's random-mix
+// program mapped to Melbourne with swaps lowered, as the map2b4l serving
+// path runs it.
+func BenchmarkProgramFidelity(b *testing.B) {
+	dev := topology.Melbourne()
+	c := goldenPhysical(b, dev)["random_6_300_1/map"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ProgramFidelity(c, dev, 1e4)
 	}
 }

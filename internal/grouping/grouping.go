@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math/cmplx"
 	"sort"
-	"strings"
+	"strconv"
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/cmat"
@@ -141,34 +141,48 @@ func MatrixKey(u *cmat.Matrix) string {
 // the canonical form is the qubit-swapped orientation. When swapped is
 // true, a pulse trained for the canonical form drives this group with its
 // per-qubit control channels exchanged.
+//
+// The key text is a byte-stable contract: library snapshots, the usage
+// ledger and dedup counts store it. Both orientations render into one
+// buffer; the swapped one reads u through the index permutation swap2.
 func CanonicalOrientation(u *cmat.Matrix) (key string, swapped bool) {
-	best := phaseCanonicalString(u)
-	if u.Rows == 4 {
-		if s := phaseCanonicalString(permuteQubits2(u)); s < best {
-			return s, true
+	var arr [1200]byte // both 4×4 orientations, or one 8×8 key
+	b := appendPhaseCanonical(arr[:0], u.Rows, u.Cols, u.Data)
+	if u.Rows == 4 && u.Cols == 4 {
+		var sw [16]complex128
+		for t, s := range swap2 {
+			sw[t] = u.Data[s]
 		}
+		n := len(b)
+		b = appendPhaseCanonical(b, 4, 4, sw[:])
+		if string(b[n:]) < string(b[:n]) {
+			return string(b[n:]), true
+		}
+		b = b[:n]
 	}
-	return best, false
+	return string(b), false
 }
 
-// permuteQubits2 returns S·U·S for the 4×4 SWAP S — the same operation with
-// the two qubits relabeled.
-func permuteQubits2(u *cmat.Matrix) *cmat.Matrix {
-	s, err := gate.Unitary(gate.Swap, nil)
-	if err != nil {
-		panic(err) // static gate, cannot fail
-	}
-	return cmat.MulChain(s, u, s)
+// swap2 relabels the two qubits of a 4×4 matrix: entry t of S·U·S, for
+// the 4×4 SWAP S, is entry swap2[t] of U, since S exchanges the basis
+// states |01⟩ and |10⟩ (rows and columns 1 and 2).
+var swap2 = [16]int{
+	0, 2, 1, 3,
+	8, 10, 9, 11,
+	4, 6, 5, 7,
+	12, 14, 13, 15,
 }
 
-// phaseCanonicalString fixes the global phase so the largest-magnitude
-// entry is real positive, then prints entries quantized to 1e-6.
-func phaseCanonicalString(u *cmat.Matrix) string {
+// appendPhaseCanonical appends the key text of a rows×cols matrix with
+// row-major entries data: the global phase is fixed so the
+// largest-magnitude entry is real positive, then every entry is rounded
+// half away from zero to 1e-5.
+func appendPhaseCanonical(b []byte, rows, cols int, data []complex128) []byte {
 	// Use the largest-magnitude entry as the phase reference: stable under
 	// small numerical noise.
 	var ref complex128
 	var refAbs float64
-	for _, v := range u.Data {
+	for _, v := range data {
 		if a := cmplx.Abs(v); a > refAbs+1e-12 {
 			refAbs, ref = a, v
 		}
@@ -177,21 +191,33 @@ func phaseCanonicalString(u *cmat.Matrix) string {
 	if refAbs > 0 {
 		phase = cmplx.Conj(ref) / complex(refAbs, 0)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%dx%d:", u.Rows, u.Cols)
-	for _, v := range u.Data {
+	b = strconv.AppendInt(b, int64(rows), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(cols), 10)
+	b = append(b, ':')
+	for _, v := range data {
 		w := v * phase
-		fmt.Fprintf(&b, "%.5f,%.5f;", quant(real(w)), quant(imag(w)))
+		b = appendQuant(b, real(w))
+		b = append(b, ',')
+		b = appendQuant(b, imag(w))
+		b = append(b, ';')
 	}
-	return b.String()
+	return b
 }
 
-func quant(x float64) float64 {
-	q := float64(int64(x*1e5+copysignHalf(x))) / 1e5
-	if q == 0 {
-		return 0 // normalize −0
+// appendQuant appends x rounded half away from zero to five decimals, as
+// sign, integer part, '.' and five zero-padded digits of the scaled
+// integer k. For |x| below 1e10 (unitary entries are at most 1) these are
+// the bytes "%.5f" prints for k/1e5; a zero never carries a sign.
+func appendQuant(b []byte, x float64) []byte {
+	k := int64(x*1e5 + copysignHalf(x))
+	if k < 0 {
+		b = append(b, '-')
+		k = -k
 	}
-	return q
+	b = strconv.AppendInt(b, k/1e5, 10)
+	f := k % 1e5
+	return append(b, '.', byte('0'+f/1e4), byte('0'+f/1e3%10), byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 func copysignHalf(x float64) float64 {

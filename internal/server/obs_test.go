@@ -524,3 +524,44 @@ func TestTrainingObserverGroupSize3(t *testing.T) {
 		t.Fatalf("qubitsLabel(3) = %q", qubitsLabel(3))
 	}
 }
+
+// TestCircuitTraceSpans pins the circuit path's tail spans: after the
+// schedule is assembled and validated, the response's latency and
+// fidelity estimate is its own span, as the compile path's is.
+func TestCircuitTraceSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains pulses; skipped in -short")
+	}
+	_, ts := newTestServer(t)
+	if _, code := postCircuit(t, ts.URL, CircuitRequest{CompileRequest: CompileRequest{QASM: oneQubitProgram}}); code != http.StatusOK {
+		t.Fatalf("circuit status %d", code)
+	}
+	dr, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dr.Body.Close()
+	var out struct {
+		Recent []struct {
+			Endpoint string `json:"endpoint"`
+			Spans    []struct {
+				Name string `json:"name"`
+			} `json:"spans"`
+		} `json:"recent"`
+	}
+	if err := json.NewDecoder(dr.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Recent) == 0 || out.Recent[0].Endpoint != "/v1/circuits/compile" {
+		t.Fatalf("no circuit trace recorded: %+v", out.Recent)
+	}
+	stages := map[string]int{}
+	for _, sp := range out.Recent[0].Spans {
+		stages[sp.Name]++
+	}
+	for _, want := range []string{"prepare", "assemble", "validate", "estimate"} {
+		if stages[want] != 1 {
+			t.Errorf("trace has %d %q spans, want 1 (got %v)", stages[want], want, stages)
+		}
+	}
+}

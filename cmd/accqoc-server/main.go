@@ -15,7 +15,6 @@
 //	accqoc-server -calibration-file cal.json                   # SIGHUP re-reads → new epoch
 //	accqoc-server -pprof localhost:6060   # expose net/http/pprof for live profiling
 //	accqoc-server -job-ttl 1h -job-cap 4096  # async job ledger sizing
-//	accqoc-server -async-jobs=false       # refuse ?async=1 submissions
 //	accqoc-server -log-format json        # structured JSON logs for pipelines
 //	accqoc-server -capacity 4096 -cache-policy cost  # evict by training cost, not recency
 //	accqoc-server -prefetch               # speculative re-training during idle cycles
@@ -80,8 +79,6 @@ func main() {
 	calibrationFile := flag.String("calibration-file", "", "JSON CalibrationUpdate re-read on SIGHUP to open a new calibration epoch for the default device")
 	workers := flag.Int("workers", 0, "concurrent compilations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "pending-request queue depth (full queue answers 503)")
-	asyncJobs := flag.Bool("async-jobs", true,
-		"serve the async job API: ?async=1 submissions answer 202 with a job ID pollable at /v1/jobs/{id}; false refuses the hint")
 	jobTTL := flag.Duration("job-ttl", 15*time.Minute, "how long finished async jobs stay pollable before eviction")
 	jobCap := flag.Int("job-cap", 1024, "async job store capacity (a store full of live jobs answers 503)")
 	capacity := flag.Int("capacity", 0, "library entry capacity per namespace, LRU-evicted beyond it (0 = unlimited)")
@@ -118,21 +115,11 @@ func main() {
 		fatal("unknown -cache-policy (want lru or cost)", "policy", *cachePolicy)
 	}
 
-	var policy grouping.Policy
-	if *enable3Q {
-		policy, err = grouping.PolicyByNameExtended(*policyName)
-	} else {
-		policy, err = grouping.PolicyByName(*policyName)
-		if err != nil {
-			if _, err3 := grouping.PolicyByNameExtended(*policyName); err3 == nil {
-				err = fmt.Errorf("policy %q requires -enable-3q (dim-8 groups train much more slowly)", *policyName)
-			}
-		}
-	}
+	policy, err := grouping.ResolvePolicy(*policyName, *enable3Q)
 	if err != nil {
 		fatal("bad -policy", "error", err.Error())
 	}
-	dev, err := parseDevice(*deviceName)
+	dev, err := topology.Parse(*deviceName)
 	if err != nil {
 		fatal("bad -device", "error", err.Error())
 	}
@@ -169,7 +156,7 @@ func main() {
 				continue
 			}
 			seen[spec] = true
-			d, derr := parseDevice(spec)
+			d, derr := topology.Parse(spec)
 			if derr != nil {
 				fatal("bad -devices entry", "spec", spec, "error", derr.Error())
 			}
@@ -205,7 +192,6 @@ func main() {
 		BootSnapshotForce: *libForce,
 		Workers:           *workers,
 		QueueDepth:        *queue,
-		DisableAsyncJobs:  !*asyncJobs,
 		JobTTL:            *jobTTL,
 		JobCap:            *jobCap,
 		MaxGates:          *maxGates,
@@ -398,19 +384,4 @@ func readCalibrationFile(path string) (devreg.CalibrationUpdate, error) {
 		return upd, fmt.Errorf("%s: %w", path, err)
 	}
 	return upd, nil
-}
-
-func parseDevice(name string) (*topology.Device, error) {
-	if name == "melbourne" {
-		return topology.Melbourne(), nil
-	}
-	var n int
-	if _, err := fmt.Sscanf(name, "linear%d", &n); err == nil && n > 1 {
-		return topology.Linear(n), nil
-	}
-	var r, c int
-	if _, err := fmt.Sscanf(name, "grid%dx%d", &r, &c); err == nil && r > 0 && c > 0 {
-		return topology.Grid(r, c), nil
-	}
-	return nil, fmt.Errorf("unknown device %q", name)
 }

@@ -159,19 +159,3 @@ func TestGroupSizeSummaryJSONShape(t *testing.T) {
 		}
 	}
 }
-
-func TestResolvePolicyGates3Q(t *testing.T) {
-	if _, err := resolvePolicy("map3b3l", false); err == nil {
-		t.Fatal("map3b3l resolved without -enable-3q")
-	}
-	p, err := resolvePolicy("map3b3l", true)
-	if err != nil || p.MaxQubits != 3 {
-		t.Fatalf("map3b3l with -enable-3q = %+v, err %v", p, err)
-	}
-	if _, err := resolvePolicy("map2b4l", false); err != nil {
-		t.Fatalf("map2b4l rejected: %v", err)
-	}
-	if _, err := resolvePolicy("bogus", true); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}

@@ -77,11 +77,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := resolvePolicy(*policyName, *enable3Q)
+	policy, err := grouping.ResolvePolicy(*policyName, *enable3Q)
 	if err != nil {
 		fatal(err)
 	}
-	dev, err := parseDevice(*deviceName)
+	dev, err := topology.Parse(*deviceName)
 	if err != nil {
 		fatal(err)
 	}
@@ -139,34 +139,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "accqoc:", err)
 	os.Exit(1)
-}
-
-// resolvePolicy maps a policy name to its definition; the 3-qubit set is
-// only reachable when the user passed -enable-3q.
-func resolvePolicy(name string, enable3Q bool) (grouping.Policy, error) {
-	if enable3Q {
-		return grouping.PolicyByNameExtended(name)
-	}
-	p, err := grouping.PolicyByName(name)
-	if err != nil {
-		if _, ok3 := grouping.PolicyByNameExtended(name); ok3 == nil {
-			return grouping.Policy{}, fmt.Errorf("policy %q requires -enable-3q (dim-8 groups train much more slowly)", name)
-		}
-	}
-	return p, err
-}
-
-func parseDevice(name string) (*topology.Device, error) {
-	if name == "melbourne" {
-		return topology.Melbourne(), nil
-	}
-	var n int
-	if _, err := fmt.Sscanf(name, "linear%d", &n); err == nil && n > 1 {
-		return topology.Linear(n), nil
-	}
-	var r, c int
-	if _, err := fmt.Sscanf(name, "grid%dx%d", &r, &c); err == nil && r > 0 && c > 0 {
-		return topology.Grid(r, c), nil
-	}
-	return nil, fmt.Errorf("unknown device %q", name)
 }

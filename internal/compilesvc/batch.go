@@ -1,14 +1,15 @@
 package compilesvc
 
-// Async request batching. Submissions against the same (device, epoch)
+// Request batching. Submissions against the same (device, epoch)
 // namespace that arrive within one BatchWindow flush to the pool as a
 // single task and share one resolveGroups pass: their unique groups are
 // unioned, resolved once (coverage plan, MST ordering, singleflight
-// training), and each job's response is then rebuilt from the per-key
-// outcome tally plus its own occurrence counts. Batching lives in the
-// training tier, not the HTTP layer, because only the tier that plans
-// groups can know that two circuits share work — the routing tier sees
-// opaque programs.
+// training), and each key's outcome is counted into every request that
+// owns it, with that request's own occurrence count. A synchronous
+// request is the same task with one request and no window. Batching lives
+// in the training tier, not the HTTP layer, because only the tier that
+// plans groups can know that two circuits share work — the routing tier
+// sees opaque programs.
 //
 // Counter semantics under sharing: when two batched jobs reference the
 // same cold group, the one shared training's iterations (and warm-seed
@@ -22,29 +23,37 @@ import (
 	"sync"
 	"time"
 
-	"accqoc"
 	"accqoc/internal/devreg"
-	"accqoc/internal/grouping"
-	"accqoc/internal/latency"
-	"accqoc/internal/libstore"
 	"accqoc/internal/obs"
 )
 
-// asyncTask is one submitted async request plus its lifecycle callbacks.
-type asyncTask struct {
-	req   *Request
+// call is one request in the training tier plus its lifecycle callbacks.
+type call struct {
+	req *Request
+	// start, when set, is asked at worker pickup whether the request
+	// still runs (false: it was canceled). done answers it exactly once.
 	start func() bool
 	done  func(*Result, error)
-	// begin stamps submission time: an async job's CompileMillis covers
-	// submit → completion, batch window included.
+	// begin is where CompileMillis starts: submission for an async job
+	// (batch window included), worker pickup when left unset.
 	begin time.Time
-	// waitSpan times submit → batch flush; queueSpan times flush →
+	// waitSpan times submit → batch flush; queueSpan times enqueue →
 	// worker pickup.
 	waitSpan  *obs.Span
 	queueSpan *obs.Span
 }
 
-func (at *asyncTask) fail(err error) { at.done(nil, err) }
+// batch makes one pool task of calls against one namespace.
+func (p *Pool) batch(calls []*call) *task {
+	return &task{
+		run: func() { p.serve(calls) },
+		fail: func(err error) {
+			for _, c := range calls {
+				c.done(nil, err)
+			}
+		},
+	}
+}
 
 // batcher groups async submissions by namespace until their window
 // elapses, then flushes each group to the pool as one task.
@@ -58,7 +67,7 @@ type batcher struct {
 }
 
 type batchGroup struct {
-	tasks []*asyncTask
+	calls []*call
 	timer *time.Timer
 }
 
@@ -70,13 +79,13 @@ func newBatcher(p *Pool, window time.Duration) *batcher {
 // first use. The namespace pointer is the batch key: one live namespace
 // per (device, epoch), so requests across devices or epochs never batch.
 func (b *batcher) add(req *Request, start func() bool, done func(*Result, error)) error {
-	at := &asyncTask{req: req, start: start, done: done, begin: time.Now()}
+	c := &call{req: req, start: start, done: done, begin: time.Now()}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	at.waitSpan = req.Trace.StartSpan("batch_wait")
+	c.waitSpan = req.Trace.StartSpan("batch_wait")
 	g := b.groups[req.NS]
 	if g == nil {
 		g = &batchGroup{}
@@ -84,7 +93,7 @@ func (b *batcher) add(req *Request, start func() bool, done func(*Result, error)
 		ns := req.NS
 		g.timer = time.AfterFunc(b.window, func() { b.flush(ns, g) })
 	}
-	g.tasks = append(g.tasks, at)
+	g.calls = append(g.calls, c)
 	b.mu.Unlock()
 	return nil
 }
@@ -100,13 +109,13 @@ func (b *batcher) flush(ns *devreg.Namespace, g *batchGroup) {
 		return
 	}
 	delete(b.groups, ns)
-	tasks := g.tasks
+	calls := g.calls
 	b.mu.Unlock()
 
-	t := &task{batch: tasks}
-	for _, at := range tasks {
-		at.waitSpan.End()
-		at.queueSpan = at.req.Trace.StartSpan("queue")
+	t := b.pool.batch(calls)
+	for _, c := range calls {
+		c.waitSpan.End()
+		c.queueSpan = c.req.Trace.StartSpan("queue")
 	}
 	for {
 		err := b.pool.enqueue(t)
@@ -137,131 +146,8 @@ func (b *batcher) close() {
 	b.mu.Unlock()
 	for _, g := range groups {
 		g.timer.Stop()
-		for _, at := range g.tasks {
-			at.fail(ErrClosed)
+		for _, c := range g.calls {
+			c.done(nil, ErrClosed)
 		}
-	}
-}
-
-// runBatch executes one flushed batch on a worker: veto canceled jobs,
-// plan each survivor, resolve the union of their unique groups in one
-// shared pass, then rebuild each job's counters from the outcome tally
-// and finish its own latency/schedule tail.
-func (p *Pool) runBatch(tasks []*asyncTask) {
-	live := tasks[:0:0]
-	for _, at := range tasks {
-		// A vetoed task (canceled before pickup) gets no callbacks; the
-		// submitter's start hook owns its cleanup.
-		if at.start == nil || at.start() {
-			live = append(live, at)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	// All tasks of a batch share one namespace by construction.
-	ns := live[0].req.NS
-	dev := ns.Comp.Options().Device
-
-	type item struct {
-		at   *asyncTask
-		plan *accqoc.GroupPlan
-		resp *CompileResponse
-	}
-	var items []*item
-	seen := map[string]bool{}
-	var union []*grouping.UniqueGroup
-	for _, at := range live {
-		sp := at.req.Trace.StartSpan("prepare")
-		plan, err := ns.Plan(at.req.Prog)
-		if err != nil {
-			at.done(nil, err)
-			continue
-		}
-		sp.End()
-		items = append(items, &item{at: at, plan: plan, resp: &CompileResponse{
-			Qubits:      at.req.Prog.NumQubits,
-			Gates:       at.req.Prog.GateCount(),
-			Epoch:       ns.Epoch,
-			TotalGroups: len(plan.Prepared.Grouping.Groups),
-		}})
-		for _, u := range plan.Unique {
-			if !seen[u.Key] {
-				seen[u.Key] = true
-				union = append(union, u)
-			}
-		}
-	}
-	if len(items) == 0 {
-		return
-	}
-
-	// One shared resolve pass over the union. The scratch response soaks
-	// up the pass-level counters (discarded); the tally records per-key
-	// outcomes for the per-job rebuild below. Plan/train spans land on
-	// the first job's trace — it is the batch leader.
-	scratch := &CompileResponse{}
-	tally := map[string]*keyOutcome{}
-	entries := p.resolveGroups(ns, scratch, union, items[0].at.req.Trace, tally)
-
-	for _, it := range items {
-		resp := it.resp
-		for _, u := range it.plan.Unique {
-			ko := tally[u.Key]
-			if ko == nil {
-				continue // unreachable: every unique key was in the union
-			}
-			if ko.outcome == libstore.OutcomeHit {
-				resp.CoveredGroups += u.Count
-				continue
-			}
-			resp.UncoveredUnique++
-			if ko.failed {
-				resp.FailedGroups++
-				continue
-			}
-			if ko.outcome == libstore.OutcomeTrained {
-				resp.TrainingIterations += ko.iterations
-				if ko.seeded {
-					resp.WarmSeeded++
-					resp.seedDistanceSum += ko.seedDist
-				}
-			}
-		}
-		if resp.WarmSeeded > 0 {
-			resp.SeedDistance = resp.seedDistanceSum / float64(resp.WarmSeeded)
-		}
-		if resp.TotalGroups > 0 {
-			resp.CoverageRate = float64(resp.CoveredGroups) / float64(resp.TotalGroups)
-		} else {
-			resp.CoverageRate = 1
-		}
-		resp.WarmServed = resp.UncoveredUnique == 0
-
-		if it.at.req.Circuit {
-			circ, err := assembleCircuit(it.plan, ns, resp, entries, it.at.req.Waveforms, it.at.req.Trace, it.at.begin)
-			if err != nil {
-				it.at.done(nil, err)
-				continue
-			}
-			it.at.done(&Result{Circ: circ}, nil)
-			continue
-		}
-		gr := it.plan.Prepared.Grouping
-		keys := it.plan.Keys
-		sp := it.at.req.Trace.StartSpan("latency")
-		overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
-			if e, ok := entries[keys[i]]; ok {
-				return e.LatencyNs, nil
-			}
-			return accqoc.GateFallbackNs(gr.Groups[i], dev.Calibration), nil
-		})
-		if err != nil {
-			it.at.done(nil, err)
-			continue
-		}
-		finalizeResponse(resp, it.plan.Prepared.Physical, dev, overall, it.at.begin)
-		sp.End()
-		it.at.done(&Result{Resp: resp}, nil)
 	}
 }

@@ -1,55 +1,25 @@
 package compilesvc
 
-// The whole-circuit pipeline: Prepare, coverage/cold partition,
-// MST-warm-started training through the shared singleflight, Algorithm 3
-// scheduling, and conformance validation. The assemble tail is shared
-// between the synchronous path (compileCircuit) and the async batch path
-// (runBatch), which resolves a union of groups once and assembles each
-// job's schedule from the shared entries.
+// The whole-circuit tail of a request: Algorithm 3 schedule assembly
+// over the resolved entries, conformance validation, and the wire-format
+// schedule with content-addressed waveform refs.
 
 import (
 	"fmt"
-	"time"
 
 	"accqoc"
-	"accqoc/internal/circuit"
-	"accqoc/internal/devreg"
-	"accqoc/internal/obs"
 	"accqoc/internal/precompile"
 	"accqoc/internal/pulse"
 )
 
-// compileCircuit runs the whole-circuit pipeline for one namespace:
-// plan (front end + canonical keys), resolve every unique group through
-// the shared singleflight/MST machinery, assemble the schedule, and
-// validate it against the schedule invariants before answering.
-func (p *Pool) compileCircuit(prog *circuit.Circuit, ns *devreg.Namespace, inlineWaveforms bool, tr *obs.Trace) (*CircuitResponse, error) {
-	begin := time.Now()
-	sp := tr.StartSpan("prepare")
-	plan, err := ns.Plan(prog)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-	gr := plan.Prepared.Grouping
-	resp := &CompileResponse{
-		Qubits:      prog.NumQubits,
-		Gates:       prog.GateCount(),
-		Epoch:       ns.Epoch,
-		TotalGroups: len(gr.Groups),
-	}
-	entries := p.resolveGroups(ns, resp, plan.Unique, tr, nil)
-	return assembleCircuit(plan, ns, resp, entries, inlineWaveforms, tr, begin)
-}
-
-// assembleCircuit is the schedule tail shared by the sync and batch
-// circuit paths: Algorithm 3 assembly over the resolved entries,
-// conformance validation, and the wire-format schedule with
-// content-addressed waveform refs.
-func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *CompileResponse, entries map[string]*precompile.Entry, inlineWaveforms bool, tr *obs.Trace, begin time.Time) (*CircuitResponse, error) {
+// assembleCircuit finishes one circuit request against the resolved
+// entries: it assembles the schedule and validates it against the
+// schedule invariants before answering.
+func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, entries map[string]*precompile.Entry) (*CircuitResponse, error) {
+	tr := c.req.Trace
 	sp := tr.StartSpan("assemble")
 	res := plan.Result()
-	dev := ns.Comp.Options().Device
+	dev := c.req.NS.Comp.Options().Device
 	sched, err := accqoc.AssembleSchedule(res, dev.Calibration, func(key string) (*precompile.Entry, bool) {
 		e, ok := entries[key]
 		return e, ok
@@ -69,7 +39,7 @@ func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *Compile
 	vsp.End()
 
 	esp := tr.StartSpan("estimate")
-	finalizeResponse(resp, plan.Prepared.Physical, dev, sched.MakespanNs, begin)
+	finalizeResponse(resp, plan.Prepared.Physical, dev, sched.MakespanNs, c.begin)
 	esp.End()
 
 	out := &CircuitResponse{
@@ -95,7 +65,7 @@ func assembleCircuit(plan *accqoc.GroupPlan, ns *devreg.Namespace, resp *Compile
 				refs[sp.Key] = ref
 			}
 			slot.Waveform = ref
-			if inlineWaveforms {
+			if c.req.Waveforms {
 				if out.Waveforms == nil {
 					out.Waveforms = map[string]*pulse.Pulse{}
 				}

@@ -4,13 +4,15 @@
 // Algorithm 3 schedule assembly) behind its own bounded worker pool.
 //
 // The routing tier (internal/server) speaks only the CompileService
-// interface: synchronous requests block on Do, asynchronous jobs enter
-// through Submit — where requests against the same namespace are batched
-// for a shared resolveGroups pass — and calibration rolls feed one item
-// at a time through Recompile. Queue depth, in-flight work and the
-// warm-seeding counter are read back through the same interface, so the
-// HTTP layer never touches pool internals; the seam is exactly what a
-// later multi-process split (consistent-hashed training nodes) needs.
+// interface: asynchronous jobs enter through Submit, where requests
+// against the same namespace are batched for one shared resolveGroups
+// pass; a synchronous request blocks on Do, which serves it as a batch of
+// one; calibration rolls feed one item at a time through Recompile.
+// Every request, sync or async, runs through the one executor, serve.
+// Queue depth, in-flight work and the warm-seeding counter are read back
+// through the same interface, so the HTTP layer never touches pool
+// internals; the seam is exactly what a later multi-process split
+// (consistent-hashed training nodes) needs.
 package compilesvc
 
 import (
@@ -21,6 +23,7 @@ import (
 	"time"
 
 	"accqoc/internal/devreg"
+	"accqoc/internal/precompile"
 )
 
 // Queue admission errors. The routing tier maps both to 503 (with a
@@ -37,9 +40,9 @@ var (
 // tier. Implementations must be safe for concurrent use from handler
 // goroutines, roll drivers, and shutdown paths.
 type CompileService interface {
-	// Do runs one request synchronously: enqueue, wait for a worker, and
-	// return the finished result. It fails fast with ErrQueueFull or
-	// ErrClosed before any work happens.
+	// Do runs one request synchronously: enqueue it as a batch of one,
+	// wait for a worker, and return the finished result. It fails fast
+	// with ErrQueueFull or ErrClosed before any work happens.
 	Do(req *Request) (*Result, error)
 
 	// Submit enqueues one request asynchronously. Concurrent submissions
@@ -101,27 +104,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one unit of worker-pool work: a synchronous compile request, a
-// flushed async batch, one recompilation item of a calibration roll, or
-// one speculative-training item of the prefetcher.
+// task is one unit of worker-pool work: a batch of requests, one
+// recompilation item of a calibration roll, or one speculative training
+// of the prefetcher. A worker calls run; Close's final sweep calls fail
+// instead for a task no worker picked up.
 type task struct {
-	// req is set for synchronous tasks.
-	req *Request
-	// batch is set for flushed async batches (one shared resolve pass).
-	batch []*asyncTask
-	// recomp/roll are set for cross-epoch recompilation items.
-	recomp *devreg.RecompItem
-	roll   *devreg.Roll
-	// prefetch is set for speculative-training items (see prefetch.go).
-	prefetch *prefetchItem
-	// done answers synchronous, recomp, and prefetch tasks; nil for
-	// batches (their asyncTasks carry per-job callbacks).
-	done chan taskResult
-}
-
-type taskResult struct {
-	res *Result
-	err error
+	run  func()
+	fail func(error)
 }
 
 // Pool is the worker-pool CompileService.
@@ -183,34 +172,17 @@ func (p *Pool) worker() {
 	run := func(t *task) {
 		p.inFlight.Add(1)
 		defer p.inFlight.Add(-1)
-		switch {
-		case t.recomp != nil:
-			p.recompileOne(t.roll, t.recomp)
-			t.done <- taskResult{}
-		case t.prefetch != nil:
-			p.prefetchOne(t.prefetch)
-			t.done <- taskResult{}
-		case t.batch != nil:
-			p.runBatch(t.batch)
-		case t.req.Circuit:
-			circ, err := p.compileCircuit(t.req.Prog, t.req.NS, t.req.Waveforms, t.req.Trace)
-			t.done <- taskResult{res: &Result{Circ: circ}, err: err}
-		default:
-			resp, err := p.compile(t.req.Prog, t.req.NS, t.req.Trace)
-			t.done <- taskResult{res: &Result{Resp: resp}, err: err}
-		}
+		t.run()
 	}
 	for {
 		select {
 		case t := <-p.tasks:
-			t.endQueueSpans()
 			run(t)
 		case <-p.quit:
 			// Drain whatever is already queued so no caller hangs.
 			for {
 				select {
 				case t := <-p.tasks:
-					t.endQueueSpans()
 					run(t)
 				default:
 					return
@@ -220,31 +192,23 @@ func (p *Pool) worker() {
 	}
 }
 
-// endQueueSpans closes the queue-wait spans at worker pickup.
-func (t *task) endQueueSpans() {
-	if t.batch != nil {
-		for _, at := range t.batch {
-			at.queueSpan.End()
-		}
-		return
-	}
-	if t.req != nil {
-		t.req.queueSpan.End()
-	}
-}
-
-// Do runs one request synchronously through the pool.
+// Do runs one request synchronously through the pool: a batch of one,
+// enqueued at once with no batching window.
 func (p *Pool) Do(req *Request) (*Result, error) {
-	t := &task{req: req, done: make(chan taskResult, 1)}
-	req.queueSpan = req.Trace.StartSpan("queue")
-	if err := p.enqueue(t); err != nil {
-		req.queueSpan = nil // dropped unended: rejected before queuing
-		return nil, err
+	type answer struct {
+		res *Result
+		err error
+	}
+	ch := make(chan answer, 1)
+	c := &call{req: req, done: func(res *Result, err error) { ch <- answer{res, err} }}
+	c.queueSpan = req.Trace.StartSpan("queue")
+	if err := p.enqueue(p.batch([]*call{c})); err != nil {
+		return nil, err // the queue span is dropped unended: never queued
 	}
 	// Wait for the worker even if the caller's client goes away: the
 	// training is already paid for and warms the shared library.
-	r := <-t.done
-	return r.res, r.err
+	a := <-ch
+	return a.res, a.err
 }
 
 // Submit enqueues one request for asynchronous, batched execution.
@@ -253,13 +217,27 @@ func (p *Pool) Submit(req *Request, start func() bool, done func(*Result, error)
 }
 
 // Recompile runs one roll item on the pool, blocking until processed.
+// The new store's singleflight arbitrates against request traffic: a key
+// a serving-path miss already covered (or is covering) counts skipped.
 func (p *Pool) Recompile(roll *devreg.Roll, it *devreg.RecompItem) error {
-	t := &task{recomp: it, roll: roll, done: make(chan taskResult, 1)}
+	return p.runOne(func() {
+		out, iters, seeded := p.retrain(roll.New, it.Key, it.Unitary, func() *precompile.Entry { return it.Old })
+		roll.Note(out == retrainSkipped, out == retrainFailed, seeded, iters)
+	})
+}
+
+// runOne runs fn on a worker and blocks until it ran (nil) or the pool
+// shut down first (ErrClosed); a full queue refuses it with ErrQueueFull.
+func (p *Pool) runOne(fn func()) error {
+	done := make(chan error, 1)
+	t := &task{
+		run:  func() { fn(); done <- nil },
+		fail: func(err error) { done <- err },
+	}
 	if err := p.enqueue(t); err != nil {
 		return err
 	}
-	r := <-t.done
-	return r.err
+	return <-done
 }
 
 // QueueLen reports tasks waiting in the queue (not yet picked up).
@@ -300,15 +278,4 @@ func (p *Pool) Close() {
 			return
 		}
 	}
-}
-
-// fail answers a swept task with err, whatever its kind.
-func (t *task) fail(err error) {
-	if t.batch != nil {
-		for _, at := range t.batch {
-			at.fail(err)
-		}
-		return
-	}
-	t.done <- taskResult{err: err}
 }

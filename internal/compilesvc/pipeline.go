@@ -1,18 +1,20 @@
 package compilesvc
 
-// This file is the plan/execute core of the serving pipeline: Prepare, a
-// stats-neutral coverage plan that MST-orders a request's cache misses
-// with precompile.Plan (§V-C), precompile.Execute training along the tree
-// edges through the namespace store's singleflight with warm-start seeds
-// from its similarity index, and Algorithm 3 latency assembly. An
-// optional per-key outcome tally lets a shared async-batch pass rebuild
-// per-request counters afterwards.
+// This file is the training tier's one request executor and the
+// plan/execute core under it. serve plans every request of a task (a
+// synchronous request is a task of one), resolveGroups resolves the union
+// of their unique groups once — a stats-neutral coverage plan that
+// MST-orders the cache misses with precompile.Plan (§V-C), then
+// precompile.Execute training along the tree edges through the namespace
+// store's singleflight with warm-start seeds from its similarity index —
+// and each request finishes against its own plan with Algorithm 3
+// latency assembly. retrain is the background training unit of
+// calibration rolls and the prefetcher.
 
 import (
 	"time"
 
 	"accqoc"
-	"accqoc/internal/circuit"
 	"accqoc/internal/cmat"
 	"accqoc/internal/devreg"
 	"accqoc/internal/grouping"
@@ -22,39 +24,120 @@ import (
 	"accqoc/internal/precompile"
 )
 
-// keyOutcome records how one unique key resolved during a shared pass,
-// so per-request counters can be rebuilt from a batch's union resolve.
-type keyOutcome struct {
-	outcome    libstore.Outcome
-	failed     bool
-	iterations int
-	seeded     bool
-	seedDist   float64
+// serve runs one task's calls, all against one namespace: veto canceled
+// requests, plan each survivor, resolve the union of their unique groups
+// in one shared pass, then finish each request against its own plan.
+func (p *Pool) serve(calls []*call) {
+	live := calls[:0:0]
+	for _, c := range calls {
+		c.queueSpan.End()
+		if c.begin.IsZero() {
+			c.begin = time.Now()
+		}
+		// A vetoed call (canceled before pickup) gets no callbacks; the
+		// submitter's start hook owns its cleanup.
+		if c.start == nil || c.start() {
+			live = append(live, c)
+		}
+	}
+	type job struct {
+		c    *call
+		plan *accqoc.GroupPlan
+		resp *CompileResponse
+	}
+	var jobs []job
+	var union []*grouping.UniqueGroup
+	owners := map[string][]owner{}
+	for _, c := range live {
+		sp := c.req.Trace.StartSpan("prepare")
+		plan, err := c.req.NS.Plan(c.req.Prog)
+		if err != nil {
+			c.done(nil, err)
+			continue
+		}
+		sp.End()
+		resp := &CompileResponse{
+			Qubits:      c.req.Prog.NumQubits,
+			Gates:       c.req.Prog.GateCount(),
+			Epoch:       c.req.NS.Epoch,
+			TotalGroups: len(plan.Prepared.Grouping.Groups),
+		}
+		jobs = append(jobs, job{c, plan, resp})
+		for _, u := range plan.Unique {
+			if owners[u.Key] == nil {
+				union = append(union, u)
+			}
+			owners[u.Key] = append(owners[u.Key], owner{resp, u.Count})
+		}
+	}
+	if len(jobs) == 0 {
+		return
+	}
+	// All calls of a task share one namespace by construction. Plan and
+	// train spans land on the first request's trace: it leads the batch.
+	entries := p.resolveGroups(jobs[0].c.req.NS, union, owners, jobs[0].c.req.Trace)
+	for _, j := range jobs {
+		j.c.done(finish(j.c, j.plan, j.resp, entries))
+	}
+}
+
+// finish completes one request against the resolved entries: the
+// scheduled pulse program for a circuit request, Algorithm 3 latency
+// assembly for a plain compile.
+func finish(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, entries map[string]*precompile.Entry) (*Result, error) {
+	if c.req.Circuit {
+		circ, err := assembleCircuit(c, plan, resp, entries)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Circ: circ}, nil
+	}
+	sp := c.req.Trace.StartSpan("latency")
+	gr := plan.Prepared.Grouping
+	dev := c.req.NS.Comp.Options().Device
+	overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
+		if e, ok := entries[plan.Keys[i]]; ok {
+			return e.LatencyNs, nil
+		}
+		return accqoc.GateFallbackNs(gr.Groups[i], dev.Calibration), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	finalizeResponse(resp, plan.Prepared.Physical, dev, overall, c.begin)
+	sp.End()
+	return &Result{Resp: resp}, nil
+}
+
+// owner is one request's stake in a unique key: the response the key's
+// outcome counts into, and the key's occurrence count in that request.
+type owner struct {
+	resp  *CompileResponse
+	count int
 }
 
 // resolver is the serving path's Store for the executor: the namespace
-// store's singleflight and seed index, plus one resolve pass's response
-// counters, train spans and batch tally.
+// store's singleflight and seed index, plus the owners each key's outcome
+// counts into and one resolve pass's train spans.
 type resolver struct {
 	p       *Pool
 	ns      *devreg.Namespace
-	resp    *CompileResponse
+	owners  map[string][]owner
 	entries map[string]*precompile.Entry
 	tr      *obs.Trace
-	// tally, when non-nil, records per-key outcomes for batch accounting.
-	tally map[string]*keyOutcome
 }
 
 // GetOrTrain fetches or trains one unique group through the namespace
-// store's singleflight and updates the response counters. train runs only
-// if this call actually executes the training (a hit or a joined
-// in-flight training never evaluates it). A fresh entry is pre-indexed
-// under its training target, so the store hook's propagation is skipped
-// (the index dedups on pulse identity).
+// store's singleflight and counts the outcome into every request that
+// owns the key: the one site that writes a response's coverage, failure,
+// training and seeding counters. train runs only if this call actually
+// executes the training (a hit or a joined in-flight training never
+// evaluates it). A fresh entry is pre-indexed under its training target,
+// so the store hook's propagation is skipped (the index dedups on pulse
+// identity).
 func (r *resolver) GetOrTrain(u *grouping.UniqueGroup, train func() (*precompile.Trained, error)) (*precompile.Entry, error) {
 	var seedDist float64
 	var seeded bool
-	resp := r.resp
 	sp := r.tr.StartSpan("train")
 	e, outcome, err := r.ns.Store.GetOrTrain(u.Key, func() (*precompile.Entry, error) {
 		t, terr := train()
@@ -65,54 +148,53 @@ func (r *resolver) GetOrTrain(u *grouping.UniqueGroup, train func() (*precompile
 		seeded, seedDist = t.Entry.Seeded, t.SeedDistance
 		return t.Entry, nil
 	})
-	if outcome == libstore.OutcomeHit {
-		resp.CoveredGroups += u.Count
-		// A hit span is never ended: warm requests would otherwise bloat
-		// every trace with hundreds of no-op lookups.
-	} else {
+	trained := outcome == libstore.OutcomeTrained && err == nil
+	if trained && seeded {
+		r.p.warmSeeded.Add(1)
+	}
+	for _, o := range r.owners[u.Key] {
+		resp := o.resp
+		if outcome == libstore.OutcomeHit {
+			resp.CoveredGroups += o.count
+			continue
+		}
 		// Trained here or joined another request's in-flight training:
-		// either way this request waited on GRAPE for the group.
+		// either way the request waited on GRAPE for the group.
 		resp.UncoveredUnique++
-		if outcome == libstore.OutcomeTrained && err == nil {
+		switch {
+		case err != nil:
+			// Unreachable within the bracket: priced gate-based.
+			resp.FailedGroups++
+		case trained:
 			resp.TrainingIterations += e.Iterations
 			if seeded {
 				resp.WarmSeeded++
 				resp.seedDistanceSum += seedDist
-				r.p.warmSeeded.Add(1)
 			}
-		}
-		if sp != nil {
-			sp.Key = u.Key
-			sp.Outcome = outcomeString(outcome)
-			sp.Coalesced = outcome == libstore.OutcomeJoined
-			if err != nil {
-				// An unreachable bracket or a recovered train panic.
-				sp.Outcome = "failed"
-				sp.Error = err.Error()
-			} else if outcome == libstore.OutcomeTrained {
-				sp.Iterations = e.Iterations
-				sp.Infidelity = e.Infidelity
-				if seeded {
-					sp.SeedDistance = seedDist
-				} else {
-					sp.SeedDistance = -1 // trained cold
-				}
-			}
-			sp.End()
 		}
 	}
-	if r.tally != nil {
-		ko := &keyOutcome{outcome: outcome, failed: err != nil}
-		if outcome == libstore.OutcomeTrained && err == nil {
-			ko.iterations = e.Iterations
-			ko.seeded = seeded
-			ko.seedDist = seedDist
+	// A hit span is never ended: warm requests would otherwise bloat
+	// every trace with hundreds of no-op lookups.
+	if outcome != libstore.OutcomeHit && sp != nil {
+		sp.Key = u.Key
+		sp.Outcome = outcomeString(outcome)
+		sp.Coalesced = outcome == libstore.OutcomeJoined
+		if err != nil {
+			// An unreachable bracket or a recovered train panic.
+			sp.Outcome = "failed"
+			sp.Error = err.Error()
+		} else if trained {
+			sp.Iterations = e.Iterations
+			sp.Infidelity = e.Infidelity
+			if seeded {
+				sp.SeedDistance = seedDist
+			} else {
+				sp.SeedDistance = -1 // trained cold
+			}
 		}
-		r.tally[u.Key] = ko
+		sp.End()
 	}
 	if err != nil {
-		// Unreachable within the bracket: price it gate-based below.
-		resp.FailedGroups++
 		return nil, err
 	}
 	r.entries[u.Key] = e
@@ -139,62 +221,13 @@ func rootedSteps(groups []*grouping.UniqueGroup) []precompile.Step {
 	return steps
 }
 
-// compile runs the serving-side pipeline for one namespace in a
-// plan/execute shape: Prepare, a stats-neutral coverage plan that
-// MST-orders the request's cache misses, singleflight training along the
-// tree edges with warm-start seeds, and Algorithm 3 latency assembly.
-func (p *Pool) compile(prog *circuit.Circuit, ns *devreg.Namespace, tr *obs.Trace) (*CompileResponse, error) {
-	begin := time.Now()
-	sp := tr.StartSpan("prepare")
-	prep, err := ns.Comp.Prepare(prog)
-	if err != nil {
-		return nil, err
-	}
-	gr := prep.Grouping
-	keys, err := precompile.Keys(gr)
-	if err != nil {
-		return nil, err
-	}
-	sp.End()
-
-	resp := &CompileResponse{
-		Qubits:      prog.NumQubits,
-		Gates:       prog.GateCount(),
-		Epoch:       ns.Epoch,
-		TotalGroups: len(gr.Groups),
-	}
-
-	// Deduplicate occurrences against the precomputed keys, then resolve
-	// every unique group: a warm key is a store hit; a cold key trains
-	// exactly once across all concurrent requests (singleflight).
-	uniq := grouping.DeduplicateKeyed(gr.Groups, keys)
-	entries := p.resolveGroups(ns, resp, uniq, tr, nil)
-
-	sp = tr.StartSpan("latency")
-	dev := ns.Comp.Options().Device
-	overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
-		if e, ok := entries[keys[i]]; ok {
-			return e.LatencyNs, nil
-		}
-		return accqoc.GateFallbackNs(gr.Groups[i], dev.Calibration), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	finalizeResponse(resp, prep.Physical, dev, overall, begin)
-	sp.End()
-	return resp, nil
-}
-
-// resolveGroups is the shared resolution core of the compile and circuit
-// paths: every unique group of a request resolves against the namespace
-// store — a warm key is a hit, a cold key trains exactly once across all
-// concurrent requests (singleflight), in MST order with warm-start seeds.
-// It fills the response's coverage, training and seeding counters and
-// returns the resolved entries by key. tally, when non-nil, records
-// per-key outcomes for batch accounting.
-func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq []*grouping.UniqueGroup, tr *obs.Trace, tally map[string]*keyOutcome) map[string]*precompile.Entry {
-	r := &resolver{p: p, ns: ns, resp: resp, entries: make(map[string]*precompile.Entry, len(uniq)), tr: tr, tally: tally}
+// resolveGroups resolves every unique group of a task against the
+// namespace store — a warm key is a hit, a cold key trains exactly once
+// across all concurrent requests (singleflight), in MST order with
+// warm-start seeds — counting each key's outcome into its owners, and
+// returns the resolved entries by key.
+func (p *Pool) resolveGroups(ns *devreg.Namespace, uniq []*grouping.UniqueGroup, owners map[string][]owner, tr *obs.Trace) map[string]*precompile.Entry {
+	r := &resolver{p: p, ns: ns, owners: owners, entries: make(map[string]*precompile.Entry, len(uniq)), tr: tr}
 	cfg := ns.Comp.Options().Precompile
 	// Plan: partition into covered and cold without touching counters or
 	// LRU order, then MST-order the cold set.
@@ -219,25 +252,15 @@ func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq [
 	// Execute: covered keys resolve as hits first — a key evicted between
 	// plan and execute trains as an identity-rooted step (index-seeded) —
 	// then the cold set trains along the tree edges; every trained group
-	// becomes a seed candidate for its MST children later in this request.
+	// becomes a seed candidate for its MST children later in this pass.
 	precompile.Execute(rootedSteps(covered), cfg, r)
 	precompile.Execute(steps, cfg, r)
-	if resp.WarmSeeded > 0 {
-		resp.SeedDistance = resp.seedDistanceSum / float64(resp.WarmSeeded)
-	}
-	if resp.TotalGroups > 0 {
-		resp.CoverageRate = float64(resp.CoveredGroups) / float64(resp.TotalGroups)
-	} else {
-		resp.CoverageRate = 1
-	}
-	resp.WarmServed = resp.UncoveredUnique == 0
 	if len(uniq) > 0 {
-		// File the request window with the cost ledger: resolveGroups is
-		// the single chokepoint of the compile, circuit, and async-batch
-		// paths, so a batch's shared pass records its union as one
-		// co-occurrence window. Pure observation — no decision downstream
-		// of this call reads the ledger. The ledger span shows its share
-		// of the request in /debug/requests.
+		// File the task's union with the cost ledger as one co-occurrence
+		// window: resolveGroups is the single chokepoint of every request.
+		// Pure observation — no decision downstream of this call reads
+		// the ledger. The ledger span shows its share of the request in
+		// /debug/requests.
 		lsp := tr.StartSpan("ledger")
 		keys := make([]string, len(uniq))
 		for i, u := range uniq {
@@ -249,46 +272,55 @@ func (p *Pool) resolveGroups(ns *devreg.Namespace, resp *CompileResponse, uniq [
 	return r.entries
 }
 
-// recompileOne executes one cross-epoch recompilation item on a worker:
-// re-train the old epoch's entry toward its cached target unitary under
-// the new epoch's physics, seeded by the old pulse at its native duration.
-// The new store's singleflight arbitrates against request traffic — if a
-// serving-path miss already covered (or is covering) the key, the item is
-// counted skipped rather than trained twice.
-func (p *Pool) recompileOne(roll *devreg.Roll, it *devreg.RecompItem) {
-	ns := roll.New
-	if ns.Store.Contains(it.Key) {
-		roll.Note(true, false, false, 0)
-		return
+// retrainOutcome is how one background training item resolved.
+type retrainOutcome int
+
+const (
+	// retrainAbandoned: a speculation yielded to request traffic untried.
+	retrainAbandoned retrainOutcome = iota
+	// retrainSkipped: the key was covered, or a racing request's training
+	// covers it, by execution time.
+	retrainSkipped
+	retrainTrained
+	retrainFailed
+)
+
+// retrain is the background training unit of calibration rolls and the
+// prefetcher: unless key is covered, train it toward target through the
+// namespace store's singleflight, starting from the entry seed returns
+// (its pulse, when set, warm-starts the training; its latency hints the
+// duration search). seed runs inside the training closure, so a skipped
+// key never pays for it. A hit or a joined training counts skipped: the
+// racing request owns that work. retrain reports the outcome, the
+// training's iterations and, for a finished training, whether it was
+// seeded.
+func (p *Pool) retrain(ns *devreg.Namespace, key string, target *cmat.Matrix, seed func() *precompile.Entry) (out retrainOutcome, iters int, seeded bool) {
+	if ns.Store.Contains(key) {
+		return retrainSkipped, 0, false
 	}
-	seeded := it.Old.Pulse != nil
-	var iters int
-	_, outcome, err := ns.Store.GetOrTrain(it.Key, func() (*precompile.Entry, error) {
-		e, terr := precompile.RetrainEntry(it.Old, it.Unitary, ns.Comp.Options().Precompile)
+	_, outcome, err := ns.Store.GetOrTrain(key, func() (*precompile.Entry, error) {
+		s := seed()
+		seeded = s.Pulse != nil
+		e, terr := precompile.RetrainEntry(s, target, ns.Comp.Options().Precompile)
 		if terr != nil {
 			return nil, terr
 		}
 		iters = e.Iterations
 		// Pre-index under the known target so the store hook skips its
-		// propagation (same zero-propagation invariant as the serving
-		// path).
-		ns.Seeds.InsertWithUnitary(e, it.Unitary)
+		// propagation, as on the serving path.
+		ns.Seeds.InsertWithUnitary(e, target)
 		return e, nil
 	})
 	switch {
-	case outcome == libstore.OutcomeTrained && err == nil:
-		roll.Note(false, false, seeded, iters)
-		if seeded {
-			p.warmSeeded.Add(1)
-		}
-	case outcome == libstore.OutcomeTrained:
-		roll.Note(false, true, false, iters)
-	default:
-		// Hit, or joined a concurrent request's training (whatever its
-		// outcome): the racing miss owns that work — the roll item is
-		// skipped, not failed.
-		roll.Note(true, false, false, 0)
+	case outcome != libstore.OutcomeTrained:
+		return retrainSkipped, 0, false
+	case err != nil:
+		return retrainFailed, iters, false
 	}
+	if seeded {
+		p.warmSeeded.Add(1)
+	}
+	return retrainTrained, iters, seeded
 }
 
 // outcomeString names a store outcome for trace spans.

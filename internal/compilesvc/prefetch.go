@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"accqoc/internal/devreg"
-	"accqoc/internal/libstore"
 	"accqoc/internal/precompile"
 )
 
@@ -226,24 +225,45 @@ func (pf *Prefetcher) runDevice(name string) {
 			c.noTarget.Add(1)
 			continue
 		}
-		it := &prefetchItem{ns: ns, key: pr.Key, tgt: tgt}
-		if pf.pool.prefetch(it) != nil {
+		// The retained target supplies only the unitary: an admitted index
+		// seed lends its pulse and latency, and an unseeded key trains cold
+		// with no hint — the training a miss would pay, off the request
+		// path.
+		seed := func() *precompile.Entry {
+			s := &precompile.Entry{Key: pr.Key, NumQubits: tgt.NumQubits}
+			if sd, ok := ns.Seeds.Nearest(tgt.Unitary, tgt.NumQubits); ok {
+				s.Pulse, s.LatencyNs = sd.Pulse, sd.LatencyNs
+			}
+			return s
+		}
+		var out retrainOutcome
+		var iters int
+		var seeded bool
+		err := pf.pool.prefetch(func() {
+			// Pickup re-check: request traffic that queued behind the
+			// speculation wins, and the item is abandoned untried.
+			if len(pf.pool.tasks) > 0 {
+				return // out stays retrainAbandoned
+			}
+			out, iters, seeded = pf.pool.retrain(ns, pr.Key, tgt.Unitary, seed)
+		})
+		if err != nil {
 			// Admission refused (queue pressure or shutdown): yield.
 			c.abandoned.Add(1)
 			return
 		}
-		switch it.outcome {
-		case prefetchTrained:
+		switch out {
+		case retrainTrained:
 			c.trained.Add(1)
-			c.iterations.Add(int64(it.iters))
-			if it.seeded {
+			c.iterations.Add(int64(iters))
+			if seeded {
 				c.seeded.Add(1)
 			}
-		case prefetchSkipped:
+		case retrainSkipped:
 			c.skipped.Add(1)
-		case prefetchAbandoned:
+		case retrainAbandoned:
 			c.abandoned.Add(1)
-		case prefetchFailed:
+		case retrainFailed:
 			c.failed.Add(1)
 		}
 		// One speculative training per device per cycle.
@@ -251,88 +271,12 @@ func (pf *Prefetcher) runDevice(name string) {
 	}
 }
 
-// prefetchOutcome is how one speculative item resolved on the worker.
-type prefetchOutcome int
-
-const (
-	prefetchAbandoned prefetchOutcome = iota
-	prefetchSkipped
-	prefetchTrained
-	prefetchFailed
-)
-
-// prefetchItem is one speculative-training unit of pool work.
-type prefetchItem struct {
-	ns  *devreg.Namespace
-	key string
-	tgt *devreg.Target
-
-	// Filled by the worker before the task's done send (which orders the
-	// writes ahead of the driver's reads).
-	outcome prefetchOutcome
-	iters   int
-	seeded  bool
-}
-
-// prefetch runs one speculative item through the pool, blocking until a
-// worker processes (or abandons) it. Admission is the inverse of request
-// traffic's: unless the queue is empty and a worker is free, the item is
-// refused with ErrQueueFull.
-func (p *Pool) prefetch(it *prefetchItem) error {
+// prefetch runs fn, one speculative training, on a worker and blocks
+// until it ran. Admission is the inverse of request traffic's: unless the
+// queue is empty and a worker is free, fn is refused with ErrQueueFull.
+func (p *Pool) prefetch(fn func()) error {
 	if p.QueueLen() > 0 || p.InFlight() >= p.Workers() {
 		return ErrQueueFull
 	}
-	t := &task{prefetch: it, done: make(chan taskResult, 1)}
-	if err := p.enqueue(t); err != nil {
-		return err
-	}
-	r := <-t.done
-	return r.err
-}
-
-// prefetchOne executes one speculative training on a worker: re-check
-// queue pressure (abandon if request traffic queued behind the
-// speculation), then train the key toward its retained target through the
-// store's singleflight, warm-seeded from the live seed index when a
-// similar covered entry admits. The retained target supplies only the
-// unitary: an admitted seed lends its pulse and its latency as the search
-// hint, and an unseeded key trains cold with no hint — the same training
-// a miss would pay, just off the request path.
-func (p *Pool) prefetchOne(it *prefetchItem) {
-	if len(p.tasks) > 0 {
-		it.outcome = prefetchAbandoned
-		return
-	}
-	ns := it.ns
-	if ns.Store.Contains(it.key) {
-		it.outcome = prefetchSkipped
-		return
-	}
-	_, outcome, err := ns.Store.GetOrTrain(it.key, func() (*precompile.Entry, error) {
-		seed := &precompile.Entry{Key: it.key, NumQubits: it.tgt.NumQubits}
-		if sd, ok := ns.Seeds.Nearest(it.tgt.Unitary, it.tgt.NumQubits); ok {
-			seed.Pulse = sd.Pulse
-			seed.LatencyNs = sd.LatencyNs
-		}
-		it.seeded = seed.Pulse != nil
-		e, terr := precompile.RetrainEntry(seed, it.tgt.Unitary, ns.Comp.Options().Precompile)
-		if terr != nil {
-			return nil, terr
-		}
-		it.iters = e.Iterations
-		ns.Seeds.InsertWithUnitary(e, it.tgt.Unitary)
-		return e, nil
-	})
-	switch {
-	case outcome == libstore.OutcomeTrained && err == nil:
-		it.outcome = prefetchTrained
-		if it.seeded {
-			p.warmSeeded.Add(1)
-		}
-	case outcome == libstore.OutcomeTrained:
-		it.outcome = prefetchFailed
-	default:
-		// Hit or joined: a racing request owns the training.
-		it.outcome = prefetchSkipped
-	}
+	return p.runOne(fn)
 }

@@ -34,10 +34,6 @@ type Request struct {
 	// Trace is the request's pipeline trace; nil for a caller that does
 	// not trace (every span call is nil-safe).
 	Trace *obs.Trace
-
-	// queueSpan times the handler→worker handoff on the synchronous
-	// path; the pool ends it at worker pickup.
-	queueSpan *obs.Span
 }
 
 // Result is the training tier's answer: exactly one of Resp (plain
@@ -147,9 +143,19 @@ func WaveformRef(e *precompile.Entry) string {
 	return "wf:" + hex.EncodeToString(h[:12])
 }
 
-// finalizeResponse fills the latency/fidelity tail shared by the
-// per-group and circuit responses.
+// finalizeResponse fills the tail shared by the per-group and circuit
+// responses: the coverage rate, mean seed distance and warm_served from
+// the resolved counters, then the latency/fidelity estimates.
 func finalizeResponse(resp *CompileResponse, phys *circuit.Circuit, dev *topology.Device, overall float64, begin time.Time) {
+	if resp.WarmSeeded > 0 {
+		resp.SeedDistance = resp.seedDistanceSum / float64(resp.WarmSeeded)
+	}
+	if resp.TotalGroups > 0 {
+		resp.CoverageRate = float64(resp.CoveredGroups) / float64(resp.TotalGroups)
+	} else {
+		resp.CoverageRate = 1
+	}
+	resp.WarmServed = resp.UncoveredUnique == 0
 	resp.QOCLatencyNs = overall
 	resp.GateLatencyNs = gatepulse.Overall(phys, dev.Calibration)
 	if overall > 0 {

@@ -84,6 +84,22 @@ func PolicyByNameExtended(name string) (Policy, error) {
 	return Policy{}, fmt.Errorf("grouping: unknown policy %q (known: Table I 2b policies, plus 3Q: map3b2l, map3b3l)", name)
 }
 
+// ResolvePolicy maps a policy name to its definition. The 3-qubit set
+// resolves only with enable3Q, the user's explicit -enable-3q opt-in; a
+// 3-qubit name without it is an error that names the flag.
+func ResolvePolicy(name string, enable3Q bool) (Policy, error) {
+	if enable3Q {
+		return PolicyByNameExtended(name)
+	}
+	p, err := PolicyByName(name)
+	if err != nil {
+		if _, err3 := PolicyByNameExtended(name); err3 == nil {
+			return Policy{}, fmt.Errorf("policy %q requires -enable-3q (dim-8 groups train much more slowly)", name)
+		}
+	}
+	return p, err
+}
+
 // Group is one gate group: a convex set of gates acting on at most
 // MaxQubits wires, spanning at most MaxLayers layers.
 type Group struct {

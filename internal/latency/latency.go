@@ -14,60 +14,10 @@ import (
 // OverallGroups runs Algorithm 3 on a grouping's DAG: each group's finish
 // time is the max of its predecessors' finish times plus its own latency;
 // the overall latency is the maximum finish time. groupLatency returns the
-// pulse duration (ns) of group i.
+// pulse duration (ns) of group i. It is Schedule's overall latency.
 func OverallGroups(gr *grouping.Grouping, groupLatency func(i int) (float64, error)) (float64, error) {
-	n := len(gr.Groups)
-	finish := make([]float64, n)
-	done := make([]bool, n)
-	// Kahn topological traversal — group order is not assumed sorted.
-	indeg := make([]int, n)
-	for i := range gr.Groups {
-		indeg[i] = len(gr.Preds[i])
-	}
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	processed := 0
-	var overall float64
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		processed++
-		var start float64
-		for _, p := range gr.Preds[cur] {
-			if !done[p] {
-				return 0, fmt.Errorf("latency: predecessor %d of %d not finished — DAG corrupt", p, cur)
-			}
-			if finish[p] > start {
-				start = finish[p]
-			}
-		}
-		lat, err := groupLatency(cur)
-		if err != nil {
-			return 0, fmt.Errorf("latency: group %d: %w", cur, err)
-		}
-		if lat < 0 {
-			return 0, fmt.Errorf("latency: negative latency %v for group %d", lat, cur)
-		}
-		finish[cur] = start + lat
-		done[cur] = true
-		if finish[cur] > overall {
-			overall = finish[cur]
-		}
-		for _, s := range gr.Succs[cur] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if processed != n {
-		return 0, fmt.Errorf("latency: group DAG has a cycle (%d of %d processed)", processed, n)
-	}
-	return overall, nil
+	_, overall, err := Schedule(gr, groupLatency)
+	return overall, err
 }
 
 // OverallGates runs the same DP over the gate-level DAG with a per-gate
@@ -92,13 +42,16 @@ func OverallGates(c *circuit.Circuit, gateLatency func(g int) float64) float64 {
 	return overall
 }
 
-// Schedule returns each group's ASAP start time under Algorithm 3 — useful
-// for emitting pulse schedules and for tests that need more than the
-// scalar result.
+// Schedule returns each group's ASAP start time under Algorithm 3 and the
+// overall latency — useful for emitting pulse schedules and for tests that
+// need more than the scalar result. A negative latency, a latency error
+// (wrapped with its group) or a corrupt DAG fails it.
 func Schedule(gr *grouping.Grouping, groupLatency func(i int) (float64, error)) (starts []float64, overall float64, err error) {
 	n := len(gr.Groups)
 	starts = make([]float64, n)
 	finish := make([]float64, n)
+	done := make([]bool, n)
+	// Kahn topological traversal — group order is not assumed sorted.
 	indeg := make([]int, n)
 	for i := range gr.Groups {
 		indeg[i] = len(gr.Preds[i])
@@ -116,16 +69,23 @@ func Schedule(gr *grouping.Grouping, groupLatency func(i int) (float64, error)) 
 		processed++
 		var start float64
 		for _, p := range gr.Preds[cur] {
+			if !done[p] {
+				return nil, 0, fmt.Errorf("latency: predecessor %d of %d not finished — DAG corrupt", p, cur)
+			}
 			if finish[p] > start {
 				start = finish[p]
 			}
 		}
 		lat, lerr := groupLatency(cur)
 		if lerr != nil {
-			return nil, 0, lerr
+			return nil, 0, fmt.Errorf("latency: group %d: %w", cur, lerr)
+		}
+		if lat < 0 {
+			return nil, 0, fmt.Errorf("latency: negative latency %v for group %d", lat, cur)
 		}
 		starts[cur] = start
 		finish[cur] = start + lat
+		done[cur] = true
 		if finish[cur] > overall {
 			overall = finish[cur]
 		}
@@ -137,7 +97,7 @@ func Schedule(gr *grouping.Grouping, groupLatency func(i int) (float64, error)) 
 		}
 	}
 	if processed != n {
-		return nil, 0, fmt.Errorf("latency: group DAG has a cycle")
+		return nil, 0, fmt.Errorf("latency: group DAG has a cycle (%d of %d processed)", processed, n)
 	}
 	return starts, overall, nil
 }

@@ -81,6 +81,18 @@ func TestOverallGroupsErrorPropagation(t *testing.T) {
 	}
 }
 
+func TestScheduleRejectsNegativeLatency(t *testing.T) {
+	c := circuit.New(1)
+	for i := 0; i < 4; i++ {
+		c.MustAppend(gate.T, []int{0})
+	}
+	gr := divide(t, c, 2) // two chunks of 2 gates
+	lat := []float64{7, -1}
+	if _, _, err := Schedule(gr, func(i int) (float64, error) { return lat[i], nil }); err == nil {
+		t.Fatal("Schedule accepted a negative latency")
+	}
+}
+
 func TestOverallGatesCriticalPath(t *testing.T) {
 	// q0: A(10) → C(30) with q1: B(20) feeding C: critical path = 20+30.
 	c := circuit.New(2)

@@ -45,11 +45,6 @@ func wantsAsync(r *http.Request) bool {
 // reference is held until the job's work completes (done) or is vetoed
 // by cancellation (start), never by the handler itself.
 func (s *Server) dispatchAsync(w http.ResponseWriter, r *http.Request, req CompileRequest, circuit, waveforms bool) {
-	if s.jobStore == nil {
-		s.failures.Add(1)
-		writeError(w, http.StatusBadRequest, errors.New("async jobs are disabled"))
-		return
-	}
 	prog, err := s.ingest(req)
 	if err != nil {
 		s.failures.Add(1)

@@ -397,31 +397,6 @@ func TestStatsAndHealthzReportTrainingTier(t *testing.T) {
 	}
 }
 
-// TestAsyncDisabled pins the opt-out: with DisableAsyncJobs the ?async=1
-// hint is refused and the job routes don't exist.
-func TestAsyncDisabled(t *testing.T) {
-	s := New(Config{Compile: fastOpts(), Workers: 2, DisableAsyncJobs: true})
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
-
-	if code, _, _ := submitAsync(t, ts.URL, "/v1/compile", CompileRequest{Workload: "qft:2"}); code != http.StatusBadRequest {
-		t.Fatalf("async submit on disabled server: status %d, want 400", code)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-doesnotexist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("jobs route on disabled server: status %d, want 404", resp.StatusCode)
-	}
-	st := getStats(t, ts.URL)
-	if st.Server.Jobs != nil {
-		t.Fatalf("disabled server censuses jobs: %+v", st.Server.Jobs)
-	}
-}
-
 // TestMixedSyncAsyncExactlyOnce is the seam's race test (run with -race):
 // sync requests, async submissions, polls and cancellations hammer one
 // namespace concurrently. Training must stay exactly-once per unique

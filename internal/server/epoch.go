@@ -260,7 +260,7 @@ type HealthResponse struct {
 	Boot    *BootSnapshotHealth `json:"boot_snapshot,omitempty"`
 	Devices []DeviceHealth      `json:"devices"`
 	// Compile reports the training tier; Jobs censuses the async job
-	// store by state (absent when the async job API is disabled).
+	// store by state.
 	Compile CompileTierHealth `json:"compile"`
 	Jobs    *jobs.Counts      `json:"jobs,omitempty"`
 }
@@ -272,10 +272,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth: s.svc.QueueCap(),
 		InFlight:   s.svc.InFlight(),
 	}}
-	if s.jobStore != nil {
-		c := s.jobStore.Counts()
-		out.Jobs = &c
-	}
+	c := s.jobStore.Counts()
+	out.Jobs = &c
 	s.boot.mu.Lock()
 	if s.boot.configured {
 		b := &BootSnapshotHealth{

@@ -195,18 +195,16 @@ func (s *Server) registerCollectors() {
 		func() float64 { return float64(s.svc.QueueLen()) })
 	r.GaugeFunc("accqoc_compile_in_flight", "Tasks currently executing on training-tier workers.",
 		func() float64 { return float64(s.svc.InFlight()) })
-	if s.jobStore != nil {
-		r.CollectGauges("accqoc_jobs", "Async jobs held by the job store, by state.",
-			[]string{"state"}, func(emit obs.Emit) {
-				c := s.jobStore.Counts()
-				emit(float64(c.Queued), "queued")
-				emit(float64(c.Running), "running")
-				emit(float64(c.Done), "done")
-				emit(float64(c.Failed), "failed")
-			})
-		r.CollectCounters("accqoc_jobs_rejected_total", "Async submissions refused with 503 (job store at capacity, or shutdown).",
-			nil, func(emit obs.Emit) { emit(float64(s.rejectedAsync.Load())) })
-	}
+	r.CollectGauges("accqoc_jobs", "Async jobs held by the job store, by state.",
+		[]string{"state"}, func(emit obs.Emit) {
+			c := s.jobStore.Counts()
+			emit(float64(c.Queued), "queued")
+			emit(float64(c.Running), "running")
+			emit(float64(c.Done), "done")
+			emit(float64(c.Failed), "failed")
+		})
+	r.CollectCounters("accqoc_jobs_rejected_total", "Async submissions refused with 503 (job store at capacity, or shutdown).",
+		nil, func(emit obs.Emit) { emit(float64(s.rejectedAsync.Load())) })
 }
 
 // statusWriter captures the response status code for the request counter

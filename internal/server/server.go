@@ -85,9 +85,6 @@ type Config struct {
 	MaxGates int
 	// MaxBodyBytes bounds request bodies. Default 4 MiB.
 	MaxBodyBytes int64
-	// DisableAsyncJobs turns off the async job API: ?async=1 is refused
-	// and the /v1/jobs routes are not registered.
-	DisableAsyncJobs bool
 	// JobTTL bounds how long finished async jobs stay pollable before
 	// TTL eviction. Default 15 minutes.
 	JobTTL time.Duration
@@ -205,8 +202,7 @@ type ServerStats struct {
 	// waiting in the compile queue and tasks executing on workers.
 	QueueLen int `json:"queue_len"`
 	InFlight int `json:"in_flight"`
-	// Jobs censuses the async job store by state; absent when the async
-	// job API is disabled.
+	// Jobs censuses the async job store by state.
 	Jobs *jobs.Counts `json:"jobs,omitempty"`
 	// Prefetch aggregates the speculative-training driver's counters
 	// across devices; absent unless prefetch is enabled.
@@ -227,7 +223,7 @@ type Server struct {
 	// prefetcher is the idle-cycle speculative-training driver; nil unless
 	// Config.EnablePrefetch.
 	prefetcher *compilesvc.Prefetcher
-	// jobStore backs the async job API; nil under DisableAsyncJobs.
+	// jobStore backs the async job API.
 	jobStore *jobs.Store
 
 	// rollWG tracks background goroutines outside the worker pool: the
@@ -253,8 +249,7 @@ type Server struct {
 	closed atomic.Bool
 }
 
-// New builds a server, its training-tier pool, and (unless disabled) its
-// async job store.
+// New builds a server, its training-tier pool, and its async job store.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	// The observability hooks must be planted in the option template
@@ -292,6 +287,7 @@ func New(cfg Config) *Server {
 		registry: reg,
 		mux:      http.NewServeMux(),
 		svc:      pool,
+		jobStore: jobs.NewStore(cfg.JobCap, cfg.JobTTL),
 		start:    time.Now(),
 		obs:      ob,
 		logger:   cfg.Logger,
@@ -301,9 +297,6 @@ func New(cfg Config) *Server {
 			Interval: cfg.PrefetchInterval,
 			Depth:    cfg.PrefetchDepth,
 		})
-	}
-	if !cfg.DisableAsyncJobs {
-		s.jobStore = jobs.NewStore(cfg.JobCap, cfg.JobTTL)
 	}
 	for _, p := range cfg.Devices {
 		if rerr := reg.Register(p); rerr != nil {
@@ -316,10 +309,8 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/devices", s.instrument("/v1/devices", false, s.handleDevices))
 	s.mux.HandleFunc("POST /v1/devices/{name}/calibrate", s.instrument("/v1/devices/calibrate", false, s.handleCalibrate))
 	s.mux.HandleFunc("GET /healthz", s.instrument("/healthz", false, s.handleHealthz))
-	if s.jobStore != nil {
-		s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", false, s.handleJobGet))
-		s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", false, s.handleJobDelete))
-	}
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", false, s.handleJobGet))
+	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs", false, s.handleJobDelete))
 	s.mux.HandleFunc("GET /v1/library/usage", s.instrument("/v1/library/usage", false, s.handleUsage))
 	s.mux.HandleFunc("GET /debug/costs", s.handleDebugCosts)
 	s.registerCollectors()
@@ -374,9 +365,7 @@ func (s *Server) Close() {
 	// Roll drivers observe ErrClosed (or their answered item) and exit;
 	// the boot loader finishes on its own.
 	s.rollWG.Wait()
-	if s.jobStore != nil {
-		s.jobStore.FailQueued(compilesvc.ErrClosed.Error())
-	}
+	s.jobStore.FailQueued(compilesvc.ErrClosed.Error())
 }
 
 // dispatch is the shared request lifecycle of the synchronous compile
@@ -503,10 +492,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			InFlight:           s.svc.InFlight(),
 		},
 	}
-	if s.jobStore != nil {
-		c := s.jobStore.Counts()
-		out.Server.Jobs = &c
-	}
+	c := s.jobStore.Counts()
+	out.Server.Jobs = &c
 	seedStats := ns.Seeds.Stats()
 	out.SeedIndex = &seedStats
 	if pol, _ := s.registry.EvictionPolicy(""); pol != nil {

@@ -8,6 +8,8 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Edge is a directed coupling: a CX with control From and target To is
@@ -189,6 +191,35 @@ func Grid(rows, cols int) *Device {
 		panic(err)
 	}
 	return d
+}
+
+// Parse builds a device from its command-line spec: melbourne,
+// linear<N> (N ≥ 2) or grid<R>x<C> (R, C ≥ 1). The whole spec must
+// parse: "linear5x" and "grid2x3abc" are errors, not devices.
+func Parse(spec string) (*Device, error) {
+	if spec == "melbourne" {
+		return Melbourne(), nil
+	}
+	if s, ok := strings.CutPrefix(spec, "linear"); ok {
+		if n, ok := dimension(s); ok && n > 1 {
+			return Linear(n), nil
+		}
+	}
+	if s, ok := strings.CutPrefix(spec, "grid"); ok {
+		rs, cs, _ := strings.Cut(s, "x")
+		r, rok := dimension(rs)
+		c, cok := dimension(cs)
+		if rok && cok && r > 0 && c > 0 {
+			return Grid(r, c), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown device %q", spec)
+}
+
+// dimension parses a device dimension: decimal digits only, no sign.
+func dimension(s string) (int, bool) {
+	n, err := strconv.ParseUint(s, 10, 16)
+	return int(n), err == nil
 }
 
 // WithCalibration returns a copy of the device carrying cal — the same

@@ -191,3 +191,39 @@ func TestDisconnectedDistance(t *testing.T) {
 		t.Fatal("expected -1 for disconnected edges")
 	}
 }
+
+func TestParse(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		qubits int // 0: the spec is rejected
+	}{
+		{"melbourne", 14},
+		{"linear5", 5},
+		{"linear2", 2},
+		{"grid2x3", 6},
+		{"grid1x1", 1},
+		{"linear5x", 0},
+		{"grid2x3abc", 0},
+		{"grid2x3x4", 0},
+		{"linear1", 0},
+		{"linear", 0},
+		{"linear+5", 0},
+		{"linear 5", 0},
+		{"grid0x3", 0},
+		{"grid2x", 0},
+		{"grid2", 0},
+		{"melbourne2", 0},
+		{"Melbourne", 0},
+		{"", 0},
+	} {
+		d, err := Parse(tc.spec)
+		switch {
+		case tc.qubits == 0 && err == nil:
+			t.Errorf("Parse(%q) = %s, want an error", tc.spec, d.Name)
+		case tc.qubits > 0 && err != nil:
+			t.Errorf("Parse(%q): %v", tc.spec, err)
+		case tc.qubits > 0 && d.NumQubits != tc.qubits:
+			t.Errorf("Parse(%q) has %d qubits, want %d", tc.spec, d.NumQubits, tc.qubits)
+		}
+	}
+}

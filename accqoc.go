@@ -152,33 +152,16 @@ type ProfileResult struct {
 
 // Profile runs static pre-compilation (§IV): the programs are prepared
 // with the configured policy, their groups deduplicated into a category,
-// and the category trained into the compiler's library.
+// and the category trained into the compiler's library. It is
+// ProfileParallel on one worker.
 func (c *Compiler) Profile(programs []*circuit.Circuit) (*ProfileResult, error) {
-	var all []*grouping.Group
-	for i, p := range programs {
-		prep, err := c.Prepare(p)
-		if err != nil {
-			return nil, fmt.Errorf("accqoc: profiling program %d: %w", i, err)
-		}
-		all = append(all, prep.Grouping.Groups...)
-	}
-	uniq, err := grouping.Deduplicate(all)
-	if err != nil {
-		return nil, err
-	}
-	lib, stats, err := precompile.Build(uniq, c.opts.Precompile)
-	if err != nil {
-		return nil, err
-	}
-	// Merge into the live library (later profiles extend earlier ones).
-	c.lib.Merge(lib)
-	c.seeds.AddLibrary(lib)
-	return &ProfileResult{Programs: len(programs), UniqueGroups: len(uniq), Stats: stats}, nil
+	return c.ProfileParallel(programs, 1)
 }
 
 // ProfileParallel is Profile with the §V-D worker pool: the similarity MST
 // of each group-size class is balance-partitioned across the given number
-// of workers and the parts train concurrently.
+// of workers and the parts train concurrently. Later profiles extend the
+// library earlier ones built.
 func (c *Compiler) ProfileParallel(programs []*circuit.Circuit, workers int) (*ProfileResult, error) {
 	var all []*grouping.Group
 	for i, p := range programs {

@@ -84,10 +84,6 @@ func main() {
 			_, err := experiments.Fig15(os.Stdout, sc)
 			return err
 		}},
-		{"frontier", "makespan-vs-iterations group-size frontier, 2b vs 3b policies", func(sc experiments.Scale) error {
-			_, err := experiments.Frontier(os.Stdout, sc)
-			return err
-		}},
 	}
 
 	if *list {

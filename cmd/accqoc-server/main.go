@@ -19,6 +19,10 @@
 //	accqoc-server -capacity 4096 -cache-policy cost  # evict by training cost, not recency
 //	accqoc-server -prefetch               # speculative re-training during idle cycles
 //
+// -policy takes one of the paper's six Table I grouping policies, all
+// capped at two qubits. A 3-qubit policy is reachable only through the
+// Go API (server.Config.Compile.Policy accepts any grouping.Policy).
+//
 // Every server exposes Prometheus text exposition at GET /metrics, the
 // request flight recorder (per-stage compile traces) at GET /debug/requests,
 // and an X-Request-Id header on every response, echoed in request-path log
@@ -67,9 +71,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	policyName := flag.String("policy", "map2b4l", "grouping policy: map2b2l|map2b3l|map2b4l|swap2b2l|swap2b3l|swap2b4l; with -enable-3q also map3b2l|map3b3l")
-	enable3Q := flag.Bool("enable-3q", false,
-		"allow the 3-qubit grouping policies (map3b2l, map3b3l): dim-8 groups, much costlier GRAPE training per group")
+	policyName := flag.String("policy", "map2b4l", "grouping policy (see Table I): map2b2l|map2b3l|map2b4l|swap2b2l|swap2b3l|swap2b4l")
 	deviceName := flag.String("device", "melbourne", "default device: melbourne | linear<N> | grid<R>x<C>")
 	extraDevices := flag.String("devices", "", "comma-separated extra device specs served next to the default (same syntax as -device)")
 	libPath := flag.String("lib", "", "library snapshot path for the default device (loaded at boot, saved at shutdown)")
@@ -115,7 +117,7 @@ func main() {
 		fatal("unknown -cache-policy (want lru or cost)", "policy", *cachePolicy)
 	}
 
-	policy, err := grouping.ResolvePolicy(*policyName, *enable3Q)
+	policy, err := grouping.PolicyByName(*policyName)
 	if err != nil {
 		fatal("bad -policy", "error", err.Error())
 	}
@@ -221,35 +223,6 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// Surface the async boot load's outcome in the log (the synchronous
-	// load used to log or die here; /healthz alone is easy to miss).
-	if *libPath != "" {
-		go func() {
-			for {
-				done, n, berr := srv.BootStatus()
-				if done {
-					switch {
-					case berr != nil:
-						logger.Error("boot snapshot failed; serving cold (/healthz reports error)",
-							"component", "main", "path", *libPath, "error", berr.Error())
-					case n > 0:
-						logger.Info("boot snapshot loaded",
-							"component", "main", "path", *libPath, "entries", n)
-					default:
-						logger.Info("no snapshot yet; starting cold",
-							"component", "main", "path", *libPath)
-					}
-					return
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(50 * time.Millisecond):
-				}
-			}
-		}()
-	}
 
 	save := func(reason string) {
 		if *libPath == "" {

@@ -119,9 +119,7 @@ type deviceSummary struct {
 }
 
 // groupSizeSummary is one per-group-size row of the -circuits report: how
-// much of the scheduled program each group dimension contributes. With a
-// 3Q policy enabled server-side this is where the group-size frontier
-// becomes visible from the client — fewer, longer slots at size 3.
+// much of the scheduled program each group dimension contributes.
 type groupSizeSummary struct {
 	Size            int     `json:"size"`
 	Slots           int     `json:"slots"`

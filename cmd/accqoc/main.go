@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"accqoc"
+	"accqoc/internal/circuit"
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
 	"accqoc/internal/precompile"
@@ -37,9 +38,7 @@ func gopts(fidelity float64, maxIter int) grape.Options {
 
 func main() {
 	in := flag.String("in", "", "input OpenQASM 2.0 file (required unless -workload)")
-	policyName := flag.String("policy", "map2b4l", "grouping policy (see Table I): map2b2l|map2b3l|map2b4l|swap2b2l|swap2b3l|swap2b4l; with -enable-3q also map3b2l|map3b3l")
-	enable3Q := flag.Bool("enable-3q", false,
-		"allow the 3-qubit grouping policies (map3b2l, map3b3l): dim-8 groups, much costlier GRAPE training per group")
+	policyName := flag.String("policy", "map2b4l", "grouping policy (see Table I): map2b2l|map2b3l|map2b4l|swap2b2l|swap2b3l|swap2b4l")
 	deviceName := flag.String("device", "melbourne", "device: melbourne | linear<N> | grid<R>x<C>")
 	libPath := flag.String("lib", "", "pulse library JSON to load and update")
 	fidelity := flag.Float64("fidelity", 1e-3, "GRAPE target infidelity")
@@ -77,7 +76,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := grouping.ResolvePolicy(*policyName, *enable3Q)
+	policy, err := grouping.PolicyByName(*policyName)
 	if err != nil {
 		fatal(err)
 	}
@@ -123,9 +122,7 @@ func main() {
 
 	if *verbose {
 		for i, g := range res.Grouping.Groups {
-			lc := g.LocalCircuit()
-			fmt.Printf("  group %3d: qubits %v, %d gates, depth %d\n",
-				i, g.Qubits, lc.GateCount(), len(g.GateIndices))
+			fmt.Println(groupLine(i, g))
 		}
 	}
 	if *libPath != "" {
@@ -134,6 +131,14 @@ func main() {
 		}
 		fmt.Printf("library saved to %s (%d pulses)\n", *libPath, len(comp.Library().Entries))
 	}
+}
+
+// groupLine is group i's -v report line: its qubits, gate count and depth
+// (the number of ASAP layers of its local circuit).
+func groupLine(i int, g *grouping.Group) string {
+	lc := g.LocalCircuit()
+	return fmt.Sprintf("  group %3d: qubits %v, %d gates, depth %d",
+		i, g.Qubits, lc.GateCount(), circuit.BuildDAG(lc).NumLayers())
 }
 
 func fatal(err error) {

@@ -52,9 +52,6 @@ type Scale struct {
 	// Fig12Custom overrides the Fig. 12 program set (used by quick
 	// benchmarks; nil selects the named suite subset for the scale).
 	Fig12Custom []*workload.Program
-	// FrontierCustom overrides the group-size frontier program set (used
-	// by tests; nil selects the default QFT + random workloads).
-	FrontierCustom []*workload.Program
 	// Grape tunes the training budget.
 	Grape grape.Options
 	// Search brackets.

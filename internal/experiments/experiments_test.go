@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
@@ -160,43 +159,5 @@ func TestAccelArmString(t *testing.T) {
 	cold := precompile.AccelArm{Iterations: 50}
 	if !strings.Contains(cold.String(), "cold") {
 		t.Fatalf("cold String = %q", cold.String())
-	}
-}
-
-func TestFrontierTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a dim-8 pulse; skipped in -short")
-	}
-	sc := tinyScale()
-	sc.Grape.TargetInfidelity = 0.35
-	sc.Grape.MaxIterations = 120
-	qft3 := workload.QFT(3)
-	sc.FrontierCustom = []*workload.Program{qft3}
-	cells, err := Frontier(io.Discard, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 3 { // one program × (map2b4l, map3b2l, map3b3l)
-		t.Fatalf("cells = %d, want 3", len(cells))
-	}
-	byPolicy := map[string]FrontierCell{}
-	for _, c := range cells {
-		if c.Program != qft3.Name {
-			t.Fatalf("unexpected program %q", c.Program)
-		}
-		if c.MakespanNs <= 0 || c.Groups <= 0 {
-			t.Fatalf("degenerate cell: %+v", c)
-		}
-		byPolicy[c.Policy] = c
-	}
-	c2, ok2 := byPolicy["map2b4l"]
-	c3, ok3 := byPolicy["map3b3l"]
-	if !ok2 || !ok3 {
-		t.Fatalf("missing policies in %v", byPolicy)
-	}
-	// The frontier's defining direction: the 3b policy coarsens the
-	// grouping (fewer or equal groups) on a QFT's chained CPs.
-	if c3.Groups > c2.Groups {
-		t.Fatalf("map3b3l groups %d > map2b4l groups %d", c3.Groups, c2.Groups)
 	}
 }

@@ -69,7 +69,7 @@ func TestGoldenCanonicalKeys(t *testing.T) {
 	}{
 		{Map2b4l, 6123, "b216cf9d8880b747abbbcd42274af63611cb64af23b9bdcb96c0a57caee63797"},
 		{Swap2b4l, 3696, "dba372ebf81b196bbbf64508f75768b5a95591d6964d53c03f9de61a3e6a866d"},
-		{Map3b2l, 9751, "1676c07ff5fe9202aa9f0f51dc95c550be327bf65e72e8fcf2382df48ae16d8b"},
+		{Policy{Name: "map3b2l", MaxQubits: 3, MaxLayers: 2, DecomposeSwap: true}, 9751, "1676c07ff5fe9202aa9f0f51dc95c550be327bf65e72e8fcf2382df48ae16d8b"},
 	}
 	for _, w := range want {
 		h := sha256.New()

@@ -42,22 +42,8 @@ var (
 	Swap2b4l = Policy{Name: "swap2b4l", MaxQubits: 2, MaxLayers: 4, DecomposeSwap: false}
 )
 
-// Three-qubit extensions beyond Table I: same bitDivide/layerDivide
-// machinery with the qubit cap raised to 3, so neighbouring two-qubit
-// groups on a shared wire merge into dim-8 groups. GRAPE training cost per
-// group rises steeply with dimension (the paper's central tradeoff), so
-// these are opt-in — servers and CLIs only accept them behind an explicit
-// flag, and they resolve through PolicyByNameExtended, never PolicyByName.
-var (
-	Map3b2l = Policy{Name: "map3b2l", MaxQubits: 3, MaxLayers: 2, DecomposeSwap: true}
-	Map3b3l = Policy{Name: "map3b3l", MaxQubits: 3, MaxLayers: 3, DecomposeSwap: true}
-)
-
 // Policies lists all six candidates in Table I order.
 var Policies = []Policy{Map2b2l, Map2b3l, Map2b4l, Swap2b2l, Swap2b3l, Swap2b4l}
-
-// Policies3Q lists the opt-in three-qubit policies.
-var Policies3Q = []Policy{Map3b2l, Map3b3l}
 
 // PolicyByName returns the named Table I policy.
 func PolicyByName(name string) (Policy, error) {
@@ -67,37 +53,6 @@ func PolicyByName(name string) (Policy, error) {
 		}
 	}
 	return Policy{}, fmt.Errorf("grouping: unknown policy %q", name)
-}
-
-// PolicyByNameExtended resolves Table I policies plus the opt-in 3-qubit
-// set. Callers gate this behind an explicit user flag: 3Q groups train
-// dim-8 unitaries and cost far more GRAPE time per group.
-func PolicyByNameExtended(name string) (Policy, error) {
-	if p, err := PolicyByName(name); err == nil {
-		return p, nil
-	}
-	for _, p := range Policies3Q {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Policy{}, fmt.Errorf("grouping: unknown policy %q (known: Table I 2b policies, plus 3Q: map3b2l, map3b3l)", name)
-}
-
-// ResolvePolicy maps a policy name to its definition. The 3-qubit set
-// resolves only with enable3Q, the user's explicit -enable-3q opt-in; a
-// 3-qubit name without it is an error that names the flag.
-func ResolvePolicy(name string, enable3Q bool) (Policy, error) {
-	if enable3Q {
-		return PolicyByNameExtended(name)
-	}
-	p, err := PolicyByName(name)
-	if err != nil {
-		if _, err3 := PolicyByNameExtended(name); err3 == nil {
-			return Policy{}, fmt.Errorf("policy %q requires -enable-3q (dim-8 groups train much more slowly)", name)
-		}
-	}
-	return p, err
 }
 
 // Group is one gate group: a convex set of gates acting on at most

@@ -11,26 +11,12 @@ import (
 	"accqoc/internal/gate"
 )
 
-func TestPolicyByNameExtended(t *testing.T) {
-	p, err := PolicyByNameExtended("map3b3l")
-	if err != nil || p.MaxQubits != 3 || p.MaxLayers != 3 || !p.DecomposeSwap {
-		t.Fatalf("map3b3l = %+v, err %v", p, err)
-	}
-	if p, err := PolicyByNameExtended("map3b2l"); err != nil || p.MaxLayers != 2 {
-		t.Fatalf("map3b2l = %+v, err %v", p, err)
-	}
-	// Table I names still resolve through the extended lookup.
-	if p, err := PolicyByNameExtended("swap2b3l"); err != nil || p != Swap2b3l {
-		t.Fatalf("swap2b3l = %+v, err %v", p, err)
-	}
-	// The base lookup must NOT see the 3Q set: they are opt-in only.
-	if _, err := PolicyByName("map3b3l"); err == nil {
-		t.Fatal("PolicyByName accepted map3b3l without the opt-in path")
-	}
-	if _, err := PolicyByNameExtended("map9b9l"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
+// Three-qubit policies: Table I's machinery with the qubit cap raised to
+// 3, the cap the brute-force baseline (Fig. 15) divides under.
+var (
+	map3b2l = Policy{Name: "map3b2l", MaxQubits: 3, MaxLayers: 2, DecomposeSwap: true}
+	map3b3l = Policy{Name: "map3b3l", MaxQubits: 3, MaxLayers: 3, DecomposeSwap: true}
+)
 
 // TestThreeQubitPolicyMergesAdjacentCX: CX(0,1) then CX(1,2) split under
 // any 2b policy but merge into one dim-8 group when the qubit cap is 3.
@@ -38,7 +24,7 @@ func TestThreeQubitPolicyMergesAdjacentCX(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(gate.CX, []int{0, 1})
 	c.MustAppend(gate.CX, []int{1, 2})
-	gr, err := Divide(c, Map3b3l)
+	gr, err := Divide(c, map3b3l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +48,9 @@ func TestThreeQubitPolicyMergesAdjacentCX(t *testing.T) {
 }
 
 // TestThreeQubitGroupingPreservesSemantics runs the strongest grouping
-// invariant — group-DAG product equals the circuit unitary — under the 3Q
-// policies on random 4-qubit circuits, so 8×8 group unitaries flow through
-// the same checks the 2Q catalog gets.
+// invariant — group-DAG product equals the circuit unitary — under the
+// 3-qubit policies on random 4-qubit circuits, so 8×8 group unitaries flow
+// through the same checks the 2Q catalog gets.
 func TestThreeQubitGroupingPreservesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
@@ -84,7 +70,7 @@ func TestThreeQubitGroupingPreservesSemantics(t *testing.T) {
 				c.MustAppend(gate.CX, []int{a, b})
 			}
 		}
-		for _, pol := range Policies3Q {
+		for _, pol := range []Policy{map3b2l, map3b3l} {
 			gr, err := Divide(c, pol)
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +117,7 @@ func TestDeduplicateThreeQubitGroups(t *testing.T) {
 		c := circuit.New(3)
 		c.MustAppend(gate.CX, []int{0, 1})
 		c.MustAppend(gate.CX, []int{1, 2})
-		gr, err := Divide(c, Map3b3l)
+		gr, err := Divide(c, map3b3l)
 		if err != nil {
 			t.Fatal(err)
 		}

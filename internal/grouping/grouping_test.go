@@ -11,22 +11,6 @@ import (
 	"accqoc/internal/gate"
 )
 
-func TestResolvePolicyGates3Q(t *testing.T) {
-	if _, err := ResolvePolicy("map3b3l", false); err == nil {
-		t.Fatal("map3b3l resolved without -enable-3q")
-	}
-	p, err := ResolvePolicy("map3b3l", true)
-	if err != nil || p.MaxQubits != 3 {
-		t.Fatalf("map3b3l with -enable-3q = %+v, err %v", p, err)
-	}
-	if _, err := ResolvePolicy("map2b4l", false); err != nil {
-		t.Fatalf("map2b4l rejected: %v", err)
-	}
-	if _, err := ResolvePolicy("bogus", true); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-}
-
 func TestPolicyCatalog(t *testing.T) {
 	if len(Policies) != 6 {
 		t.Fatalf("policy count = %d, want 6 (Table I)", len(Policies))
@@ -35,8 +19,11 @@ func TestPolicyCatalog(t *testing.T) {
 	if err != nil || p.MaxQubits != 2 || p.MaxLayers != 4 || !p.DecomposeSwap {
 		t.Fatalf("map2b4l = %+v, err %v", p, err)
 	}
-	if _, err := PolicyByName("nope"); err == nil {
-		t.Fatal("unknown policy accepted")
+	// Table I stops at two-qubit groups; 3-qubit names are unknown.
+	for _, name := range []string{"nope", "map3b3l"} {
+		if _, err := PolicyByName(name); err == nil {
+			t.Fatalf("unknown policy %q accepted", name)
+		}
 	}
 }
 

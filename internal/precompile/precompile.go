@@ -170,19 +170,13 @@ type BuildStats struct {
 
 // Build trains pulses for every unique group in the order Plan gives the
 // category: per size class by the similarity MST, with warm starts along
-// tree edges.
+// tree edges. It is ParallelBuild on one worker.
 func Build(uniq []*grouping.UniqueGroup, cfg Config) (*Library, *BuildStats, error) {
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	steps, err := Plan(uniq, cfg.Similarity)
+	res, err := ParallelBuild(uniq, cfg, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	lib := NewLibrary()
-	stats := &BuildStats{}
-	stats.add(steps, Execute(steps, cfg, &mapStore{lib: lib}))
-	stats.Elapsed = time.Since(start)
-	return lib, stats, nil
+	return res.Library, res.Stats, nil
 }
 
 // add records executed steps: a failed step stays uncovered (it compiles

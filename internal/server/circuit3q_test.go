@@ -8,8 +8,8 @@ import (
 	"accqoc/internal/grouping"
 )
 
-// threeQubitProgram: CX(0,1);CX(1,2) merges into one dim-8 group under the
-// opt-in map3b3l policy; the trailing H keeps a 1Q group in the mix so the
+// threeQubitProgram: CX(0,1);CX(1,2) merges into one dim-8 group under a
+// 3-qubit policy; the trailing H keeps a 1Q group in the mix so the
 // per-size dispatch is exercised side by side.
 const threeQubitProgram = `OPENQASM 2.0;
 include "qelib1.inc";
@@ -19,13 +19,14 @@ cx q[1],q[2];
 h q[0];
 `
 
-// newTest3QServer is newTestServer with the 3-qubit policy enabled and the
-// GRAPE budget loosened: a dim-8 group trains 40 segments over an 8×8
+// newTest3QServer is newTestServer with a 3-qubit policy (no CLI name
+// selects one; the Go API accepts any grouping.Policy) and the GRAPE
+// budget loosened: a dim-8 group trains 40 segments over an 8×8
 // propagator chain, so a tight 1e-2 target would dominate the test suite.
 func newTest3QServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	opts := fastOpts()
-	opts.Policy = grouping.Map3b3l
+	opts.Policy = grouping.Policy{Name: "map3b3l", MaxQubits: 3, MaxLayers: 3, DecomposeSwap: true}
 	opts.Precompile.Grape.TargetInfidelity = 0.3
 	opts.Precompile.Grape.MaxIterations = 200
 	s := New(Config{Compile: opts, Workers: 8})
@@ -37,7 +38,7 @@ func newTest3QServer(t *testing.T) (*Server, *httptest.Server) {
 // TestCircuit3QPolicyEndToEnd compiles a program whose CX pair merges into
 // a single 3-qubit group through /v1/circuits/compile: the schedule must
 // validate, carry a 3-qubit slot, and resolve every waveform reference —
-// the acceptance gate for the group-size frontier being actually servable.
+// the Go API still serves dim-8 groups end to end.
 func TestCircuit3QPolicyEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a dim-8 pulse; skipped in -short")

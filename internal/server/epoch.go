@@ -180,14 +180,16 @@ func (s *Server) startBootLoad() {
 			mtime = fi.ModTime()
 		}
 		n, fp, err := ns.Store.LoadIntoChecked(path, want, force)
-		if os.IsNotExist(err) {
+		switch {
+		case os.IsNotExist(err):
 			// No snapshot yet: a cold boot is a ready boot.
 			err = nil
-		}
-		if err != nil {
-			s.logger.Error("boot snapshot load failed",
+			s.logger.Info("no snapshot yet; starting cold",
+				"component", "server", "path", path)
+		case err != nil:
+			s.logger.Error("boot snapshot load failed; serving cold (/healthz reports error)",
 				"component", "server", "path", path, "error", err.Error())
-		} else {
+		default:
 			s.logger.Info("boot snapshot loaded",
 				"component", "server", "path", path, "entries", n)
 		}

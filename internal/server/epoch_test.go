@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -449,6 +452,87 @@ func TestServerBootSnapshotReadiness(t *testing.T) {
 		t.Fatalf("cold boot health %+v", h.Boot)
 	}
 	cold.Close()
+}
+
+// bootLog is a slog.Handler that keeps every record the server logs.
+type bootLog struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *bootLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *bootLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *bootLog) WithGroup(string) slog.Handler            { return h }
+
+func (h *bootLog) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// about returns the records whose path attribute is path.
+func (h *bootLog) about(path string) []slog.Record {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []slog.Record
+	for _, r := range h.recs {
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "path" && a.Value.String() == path {
+				out = append(out, r)
+				return false
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// TestBootSnapshotLogsOnce pins the boot load's log: one record per
+// outcome, at the outcome's level. A missing snapshot is a cold start,
+// not a load.
+func TestBootSnapshotLogsOnce(t *testing.T) {
+	dir := t.TempDir()
+	valid := filepath.Join(dir, "valid.snap")
+	lib := precompile.NewLibrary()
+	e := bootEntry(0)
+	lib.Entries[e.Key] = e
+	if err := libstore.SaveLibraryFingerprint(lib, valid, libstore.FormatGob, ""); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	corrupt := filepath.Join(dir, "corrupt.snap")
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, msg string
+		level           slog.Level
+		failed          bool
+	}{
+		{"missing", filepath.Join(dir, "absent.snap"), "no snapshot yet; starting cold", slog.LevelInfo, false},
+		{"valid", valid, "boot snapshot loaded", slog.LevelInfo, false},
+		{"corrupt", corrupt, "boot snapshot load failed; serving cold (/healthz reports error)", slog.LevelError, true},
+	} {
+		h := &bootLog{}
+		s := New(Config{Compile: fastOpts(), BootSnapshot: tc.path, Workers: 1, Logger: slog.New(h)})
+		s.Close() // waits for the boot load
+		if _, _, berr := s.BootStatus(); (berr != nil) != tc.failed {
+			t.Fatalf("%s: boot error %v", tc.name, berr)
+		}
+		recs := h.about(tc.path)
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d boot records, want 1", tc.name, len(recs))
+		}
+		if recs[0].Message != tc.msg || recs[0].Level != tc.level {
+			t.Fatalf("%s: boot record %s %q, want %s %q",
+				tc.name, recs[0].Level, recs[0].Message, tc.level, tc.msg)
+		}
+	}
 }
 
 func mustParseT(t *testing.T, src string) *circuit.Circuit {

@@ -112,10 +112,6 @@ func qubitsLabel(n int) string {
 		return "1"
 	case 2:
 		return "2"
-	case 3:
-		// Dim-8 groups from the opt-in 3Q policies hit the training path
-		// just as hot as 1Q/2Q once enabled.
-		return "3"
 	default:
 		return strconv.Itoa(n)
 	}

@@ -491,9 +491,9 @@ func postRaw(t *testing.T, base, qasm string) rawResponse {
 }
 
 // TestTrainingObserverGroupSize3 pins the label cell a dim-8 (3-qubit)
-// training observation lands in: the opt-in 3Q policies must show up in
-// the convergence histograms as qubits="3", not fall through to a slow
-// formatting path or get folded into another cell.
+// training observation lands in: a server given a 3-qubit policy must show
+// its groups in the convergence histograms as qubits="3", not folded into
+// another cell.
 func TestTrainingObserverGroupSize3(t *testing.T) {
 	ob := newObsState(4)
 	ob.trainingObserver(3, 17, 1e-3, false)

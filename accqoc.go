@@ -122,7 +122,7 @@ func (c *Compiler) Prepare(prog *circuit.Circuit) (*Prepared, error) {
 	work := prog.DecomposeCCX()
 	mapped, err := mapping.Map(work, c.opts.Device, c.opts.Mapping)
 	if err != nil {
-		return nil, fmt.Errorf("accqoc: mapping: %w", err)
+		return nil, fmt.Errorf("accqoc: %w", err) // names its package already
 	}
 	phys := mapped.Mapped
 	if c.opts.Policy.DecomposeSwap {
@@ -133,7 +133,7 @@ func (c *Compiler) Prepare(prog *circuit.Circuit) (*Prepared, error) {
 	}
 	gr, err := grouping.Divide(phys, c.opts.Policy)
 	if err != nil {
-		return nil, fmt.Errorf("accqoc: grouping: %w", err)
+		return nil, fmt.Errorf("accqoc: %w", err)
 	}
 	return &Prepared{
 		Physical:        phys,

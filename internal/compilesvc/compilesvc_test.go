@@ -1,15 +1,20 @@
 package compilesvc
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"accqoc"
+	"accqoc/internal/circuit"
 	"accqoc/internal/devreg"
+	"accqoc/internal/gate"
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
+	"accqoc/internal/obs"
 	"accqoc/internal/precompile"
 	"accqoc/internal/qasm"
 	"accqoc/internal/topology"
@@ -147,5 +152,61 @@ func TestBatchCountsEachOwner(t *testing.T) {
 	if ra.TrainingIterations == 0 || ra.TrainingIterations != rb.TrainingIterations ||
 		ra.WarmSeeded != rb.WarmSeeded || ra.SeedDistance != rb.SeedDistance {
 		t.Errorf("shared training counted differently: a=%+v b=%+v", *ra, *rb)
+	}
+}
+
+// TestPlanPanicFailsOnlyItsRequest: a request whose planning panics (a
+// gate on a wire outside its circuit, which only a caller bypassing
+// circuit.Append can build) gets an ErrPlanPanic error and an ended
+// prepare span carrying it; the worker survives, and a valid request
+// batched with it, and one sent after it, are served.
+func TestPlanPanicFailsOnlyItsRequest(t *testing.T) {
+	ns := newNamespace(t)
+	p := New(Config{Workers: 1, BatchWindow: 50 * time.Millisecond})
+	defer p.Close()
+	bad := func() *Request {
+		prog := circuit.New(2)
+		prog.Gates = append(prog.Gates, gate.MustInstance(gate.CX, []int{0, 7}))
+		return &Request{Prog: prog, NS: ns, Trace: obs.NewTrace("bad", "test")}
+	}
+	const src = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\nrz(0.4) q[0];\nh q[1];\n"
+
+	req := bad()
+	if _, err := p.Do(req); !errors.Is(err, ErrPlanPanic) || !strings.Contains(err.Error(), "index out of range") {
+		t.Fatalf("malformed request: error %v, want a recovered index panic", err)
+	}
+	var prepare *obs.Span
+	for _, sp := range req.Trace.Spans {
+		if sp.Name == "prepare" {
+			prepare = sp
+		}
+	}
+	if prepare == nil || !strings.Contains(prepare.Error, "planning panicked") {
+		t.Fatalf("prepare span %+v, want it ended with the panic's text", prepare)
+	}
+
+	// One batch: the panicking request and a valid one.
+	errs := make(chan error, 2)
+	for _, r := range []*Request{bad(), newRequest(t, ns, src, false)} {
+		if err := p.Submit(r, nil, func(_ *Result, err error) { errs <- err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var failed int
+	for range 2 {
+		switch err := <-errs; {
+		case errors.Is(err, ErrPlanPanic):
+			failed++
+		case err != nil:
+			t.Errorf("valid request in the batch failed: %v", err)
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%d requests of the batch failed with ErrPlanPanic, want 1", failed)
+	}
+
+	res, err := p.Do(newRequest(t, ns, src, false))
+	if err != nil || res.Resp.TotalGroups == 0 {
+		t.Fatalf("valid request after the panic: %+v, %v", res, err)
 	}
 }

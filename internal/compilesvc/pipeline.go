@@ -12,6 +12,8 @@ package compilesvc
 // calibration rolls and the prefetcher.
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"accqoc"
@@ -50,8 +52,12 @@ func (p *Pool) serve(calls []*call) {
 	owners := map[string][]owner{}
 	for _, c := range live {
 		sp := c.req.Trace.StartSpan("prepare")
-		plan, err := c.req.NS.Plan(c.req.Prog)
+		plan, err := planRequest(c.req)
 		if err != nil {
+			if sp != nil {
+				sp.Error = err.Error()
+			}
+			sp.End()
 			c.done(nil, err)
 			continue
 		}
@@ -79,6 +85,21 @@ func (p *Pool) serve(calls []*call) {
 	for _, j := range jobs {
 		j.c.done(finish(j.c, j.plan, j.resp, entries))
 	}
+}
+
+// ErrPlanPanic tags the error a request gets when planning it panicked.
+var ErrPlanPanic = errors.New("compilesvc: planning panicked")
+
+// planRequest runs the request's front end, recovering a panic into an
+// ErrPlanPanic error for that request alone: a malformed program must not
+// take the worker, and the process with it, down.
+func planRequest(req *Request) (plan *accqoc.GroupPlan, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			plan, err = nil, fmt.Errorf("%w: %v", ErrPlanPanic, v)
+		}
+	}()
+	return req.NS.Plan(req.Prog)
 }
 
 // finish completes one request against the resolved entries: the

@@ -188,15 +188,16 @@ func NewInstance(n Name, qubits []int, params []float64) (Instance, error) {
 	if len(params) != spec.Params {
 		return Instance{}, fmt.Errorf("gate: %s takes %d parameter(s), got %d", n, spec.Params, len(params))
 	}
-	seen := map[int]bool{}
-	for _, q := range qubits {
+	// At most three operands: a nested scan finds a repeat without a set.
+	for i, q := range qubits {
 		if q < 0 {
 			return Instance{}, fmt.Errorf("gate: negative qubit %d", q)
 		}
-		if seen[q] {
-			return Instance{}, fmt.Errorf("gate: repeated qubit %d in %s", q, n)
+		for _, p := range qubits[:i] {
+			if p == q {
+				return Instance{}, fmt.Errorf("gate: repeated qubit %d in %s", q, n)
+			}
 		}
-		seen[q] = true
 	}
 	return Instance{Name: n, Qubits: append([]int(nil), qubits...), Params: append([]float64(nil), params...)}, nil
 }
@@ -271,19 +272,31 @@ func DecomposeCCX(g Instance) []Instance {
 // given qubit positions (identity elsewhere). qubits[0] is the most
 // significant local bit of the small matrix.
 func Embed(small *cmat.Matrix, qubits []int, n int) *cmat.Matrix {
+	out := cmat.New(1<<n, 1<<n)
+	EmbedInto(out, small, qubits, n)
+	return out
+}
+
+// EmbedInto is Embed writing into dst, a 2^n × 2^n matrix whose previous
+// contents are overwritten.
+func EmbedInto(dst, small *cmat.Matrix, qubits []int, n int) {
 	k := len(qubits)
 	if small.Rows != 1<<k || small.Cols != 1<<k {
 		panic(fmt.Sprintf("gate: Embed: matrix %dx%d does not match %d qubits", small.Rows, small.Cols, k))
 	}
 	dim := 1 << n
-	out := cmat.New(dim, dim)
+	if dst.Rows != dim || dst.Cols != dim {
+		panic(fmt.Sprintf("gate: Embed: destination %dx%d is not %dx%d", dst.Rows, dst.Cols, dim, dim))
+	}
+	clear(dst.Data)
 	// Bit position of qubit q in an n-qubit index (qubit 0 = MSB).
-	bitpos := make([]int, k)
-	for i, q := range qubits {
+	var arr [3]int
+	bitpos := arr[:0]
+	for _, q := range qubits {
 		if q < 0 || q >= n {
 			panic(fmt.Sprintf("gate: Embed: qubit %d out of range [0,%d)", q, n))
 		}
-		bitpos[i] = n - 1 - q
+		bitpos = append(bitpos, n-1-q)
 	}
 	for row := 0; row < dim; row++ {
 		// Extract the local row index and the invariant remainder bits.
@@ -304,8 +317,7 @@ func Embed(small *cmat.Matrix, qubits []int, n int) *cmat.Matrix {
 				bit := (localCol >> (k - 1 - i)) & 1
 				col |= bit << bp
 			}
-			out.Data[row*dim+col] = v
+			dst.Data[row*dim+col] = v
 		}
 	}
-	return out
 }

@@ -11,8 +11,10 @@
 package grouping
 
 import (
+	"cmp"
 	"fmt"
 	"math/cmplx"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -85,9 +87,47 @@ func (g *Group) LocalCircuit() *circuit.Circuit {
 	return c
 }
 
-// Unitary returns the group's 2^k × 2^k matrix.
+// maxUnitaryQubits bounds Unitary against accidental exponential
+// blow-ups, as circuit.Unitary does.
+const maxUnitaryQubits = 10
+
+// Unitary returns the group's 2^k × 2^k matrix: the product, right to
+// left in program order, of each member gate embedded on the group's
+// local wires (sorted global order). It computes the bits of
+// LocalCircuit().Unitary() — the same embedding and the same cmat
+// kernels in the same order — in two scratch matrices and the result.
 func (g *Group) Unitary() (*cmat.Matrix, error) {
-	return g.LocalCircuit().Unitary()
+	n := len(g.Qubits)
+	if n > maxUnitaryQubits {
+		return nil, fmt.Errorf("circuit: Unitary limited to %d qubits, have %d", maxUnitaryQubits, n)
+	}
+	dim := 1 << n
+	acc, emb, next := cmat.Identity(dim), cmat.New(dim, dim), cmat.New(dim, dim)
+	var arr [3]int
+	for _, inst := range g.Gates {
+		u, err := inst.Unitary()
+		if err != nil {
+			return nil, err
+		}
+		local := arr[:0]
+		for _, q := range inst.Qubits {
+			local = append(local, localWire(g.Qubits, q))
+		}
+		gate.EmbedInto(emb, u, local, n)
+		cmat.MulInto(next, emb, acc)
+		acc, next = next, acc
+	}
+	return acc, nil
+}
+
+// localWire is q's position in the sorted wire list qubits.
+func localWire(qubits []int, q int) int {
+	for i, w := range qubits {
+		if w == q {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("grouping: gate qubit %d is not a group wire %v", q, qubits))
 }
 
 // Key returns a canonical fingerprint of the group's unitary, invariant
@@ -219,56 +259,79 @@ func Divide(c *circuit.Circuit, pol Policy) (*Grouping, error) {
 		return nil, fmt.Errorf("grouping: invalid policy %+v", pol)
 	}
 	dag := circuit.BuildDAG(c)
-	big := bitDivide(c, dag, pol.MaxQubits)
-	chunks := layerDivide(dag, big, pol.MaxLayers)
+	chunks := layerDivide(dag, bitDivide(c, pol.MaxQubits), pol.MaxLayers)
 
-	gr := &Grouping{Policy: pol}
+	// The groups, their gate lists and their wire lists each share one
+	// array. A group's wires are at most its gates' operands.
+	n := len(chunks)
+	gr := &Grouping{Policy: pol, Groups: make([]*Group, n)}
+	groups := make([]Group, n)
+	insts := make([]gate.Instance, len(c.Gates))
+	refs := 0
+	for _, g := range c.Gates {
+		refs += len(g.Qubits)
+	}
+	wires := make([]int, 0, refs)
 	gateToGroup := make([]int, len(c.Gates))
-	for _, chunk := range chunks {
-		grp := &Group{}
-		qubitSet := map[int]bool{}
-		for _, gi := range chunk {
+	stamp := make([]int, max(c.NumQubits, n)) // wire, then group → last id+1 that saw it
+	for id, chunk := range chunks {
+		grp := &groups[id]
+		grp.Gates, insts = insts[:len(chunk):len(chunk)], insts[len(chunk):]
+		grp.GateIndices = chunk
+		start := len(wires)
+		for i, gi := range chunk {
 			inst := c.Gates[gi]
-			grp.Gates = append(grp.Gates, inst)
-			grp.GateIndices = append(grp.GateIndices, gi)
-			for _, q := range inst.Qubits {
-				qubitSet[q] = true
-			}
-		}
-		for q := range qubitSet {
-			grp.Qubits = append(grp.Qubits, q)
-		}
-		sort.Ints(grp.Qubits)
-		id := len(gr.Groups)
-		gr.Groups = append(gr.Groups, grp)
-		for _, gi := range chunk {
+			grp.Gates[i] = inst
 			gateToGroup[gi] = id
-		}
-	}
-	// Group DAG from gate DAG.
-	n := len(gr.Groups)
-	predSet := make([]map[int]bool, n)
-	for i := range predSet {
-		predSet[i] = map[int]bool{}
-	}
-	for gi := range c.Gates {
-		gg := gateToGroup[gi]
-		for _, p := range dag.Preds[gi] {
-			pg := gateToGroup[p]
-			if pg != gg {
-				predSet[gg][pg] = true
+			for _, q := range inst.Qubits {
+				if stamp[q] != id+1 {
+					stamp[q] = id + 1
+					wires = append(wires, q)
+				}
 			}
 		}
+		grp.Qubits = wires[start:len(wires):len(wires)]
+		sort.Ints(grp.Qubits)
+		gr.Groups[id] = grp
 	}
+	// Group DAG from gate DAG: group i's predecessors are the groups of
+	// its gates' predecessors, once each. They share one array, as do the
+	// successor lists, each sized to its count first; filling successors
+	// in group order keeps them sorted. Empty lists stay nil.
+	clear(stamp)
 	gr.Preds = make([][]int, n)
 	gr.Succs = make([][]int, n)
-	for i, s := range predSet {
-		for p := range s {
-			gr.Preds[i] = append(gr.Preds[i], p)
+	edges := 0
+	for _, ps := range dag.Preds {
+		edges += len(ps)
+	}
+	preds := make([]int, 0, edges)
+	counts := make([]int, n)
+	for id, chunk := range chunks {
+		start := len(preds)
+		for _, gi := range chunk {
+			for _, p := range dag.Preds[gi] {
+				if pg := gateToGroup[p]; pg != id && stamp[pg] != id+1 {
+					stamp[pg] = id + 1
+					preds = append(preds, pg)
+					counts[pg]++
+				}
+			}
 		}
-		sort.Ints(gr.Preds[i])
-		for _, p := range gr.Preds[i] {
-			gr.Succs[p] = append(gr.Succs[p], i)
+		if len(preds) > start {
+			gr.Preds[id] = preds[start:len(preds):len(preds)]
+			sort.Ints(gr.Preds[id])
+		}
+	}
+	succs := make([]int, len(preds))
+	for p, k := range counts {
+		if k > 0 {
+			gr.Succs[p], succs = succs[:0:k], succs[k:]
+		}
+	}
+	for id, ps := range gr.Preds {
+		for _, p := range ps {
+			gr.Succs[p] = append(gr.Succs[p], id)
 		}
 	}
 	return gr, nil
@@ -278,148 +341,152 @@ func Divide(c *circuit.Circuit, pol Policy) (*Grouping, error) {
 // predecessors' groups in topological order, subject to the qubit budget
 // and the wire-interval (convexity) rule. It returns big groups as slices
 // of gate indices in program order.
-func bitDivide(c *circuit.Circuit, dag *circuit.DAG, maxQubits int) [][]int {
+func bitDivide(c *circuit.Circuit, maxQubits int) [][]int {
 	type bigGroup struct {
-		gates  []int
-		qubits map[int]bool
+		gates []int // member gates in program order
+		wires []int // the wires the group touches
+		dead  bool  // merged into another group
 	}
-	var groups []*bigGroup
-	owner := map[int]*bigGroup{} // wire → group holding the last gate on it
+	var groups []bigGroup
+	touches := func(g, q int) bool { return slices.Contains(groups[g].wires, q) }
+	owner := make([]int, c.NumQubits) // wire → group holding the last gate on it, or -1
+	for q := range owner {
+		owner[q] = -1
+	}
+	mark, stamp := make([]int, c.NumQubits), 0
+
+	// joinable reports whether a gate on qubits qs may join the groups gs.
+	joinable := func(qs []int, gs []int) bool {
+		stamp++
+		union := 0
+		count := func(q int) {
+			if mark[q] != stamp {
+				mark[q] = stamp
+				union++
+			}
+		}
+		for _, q := range qs {
+			count(q)
+		}
+		for _, g := range gs {
+			for _, q := range groups[g].wires {
+				count(q)
+			}
+		}
+		if union > maxQubits {
+			return false
+		}
+		// Wire-interval rule: for every wire of this gate that a
+		// candidate already uses, that candidate must still own the
+		// wire (no foreign gate interleaved).
+		for _, g := range gs {
+			for _, q := range qs {
+				if touches(g, q) && owner[q] != g {
+					return false
+				}
+			}
+		}
+		// Merging two groups requires disjoint wire sets (each wire
+		// owned by exactly one of them).
+		if len(gs) == 2 {
+			for _, q := range groups[gs[0]].wires {
+				if touches(gs[1], q) {
+					return false
+				}
+			}
+		}
+		return true
+	}
 
 	for gi, inst := range c.Gates {
-		// Candidate groups: owners of the wires this gate reads.
-		candSet := map[*bigGroup]bool{}
+		// Candidate groups: owners of the wires this gate reads, ordered
+		// by first gate index.
+		var arr [3]int
+		cands := arr[:0]
 		for _, q := range inst.Qubits {
-			if g := owner[q]; g != nil {
-				candSet[g] = true
+			if g := owner[q]; g >= 0 && !slices.Contains(cands, g) {
+				cands = append(cands, g)
 			}
 		}
-		cands := make([]*bigGroup, 0, len(candSet))
-		for g := range candSet {
-			cands = append(cands, g)
-		}
-		// Deterministic candidate order: by first gate index.
-		sort.Slice(cands, func(i, j int) bool { return cands[i].gates[0] < cands[j].gates[0] })
+		slices.SortFunc(cands, func(a, b int) int { return cmp.Compare(groups[a].gates[0], groups[b].gates[0]) })
 
-		joinable := func(gs []*bigGroup) bool {
-			union := map[int]bool{}
-			for _, q := range inst.Qubits {
-				union[q] = true
-			}
-			for _, g := range gs {
-				for q := range g.qubits {
-					union[q] = true
-				}
-			}
-			if len(union) > maxQubits {
-				return false
-			}
-			// Wire-interval rule: for every wire of this gate that a
-			// candidate already uses, that candidate must still own the
-			// wire (no foreign gate interleaved).
-			for _, g := range gs {
-				for _, q := range inst.Qubits {
-					if g.qubits[q] && owner[q] != g {
-						return false
-					}
-				}
-			}
-			// Merging two groups requires disjoint wire sets (each wire
-			// owned by exactly one of them).
-			if len(gs) == 2 {
-				for q := range gs[0].qubits {
-					if gs[1].qubits[q] {
-						return false
-					}
-				}
-			}
-			return true
-		}
-
-		var target *bigGroup
+		target := -1
 		switch {
-		case len(cands) == 2 && joinable(cands):
+		case len(cands) == 2 && joinable(inst.Qubits, cands):
 			// Merge the two predecessor groups (Algorithm 1 line 5–6).
-			a, b := cands[0], cands[1]
+			// Only the wires b still owns move to a: a wire b touched
+			// earlier may have passed to a third group since.
+			a, b := &groups[cands[0]], &groups[cands[1]]
 			a.gates = append(a.gates, b.gates...)
 			sort.Ints(a.gates)
-			for q := range b.qubits {
-				a.qubits[q] = true
-			}
-			for q, g := range owner {
-				if g == b {
-					owner[q] = a
+			a.wires = append(a.wires, b.wires...)
+			for _, q := range b.wires {
+				if owner[q] == cands[1] {
+					owner[q] = cands[0]
 				}
 			}
-			for i, g := range groups {
-				if g == b {
-					groups = append(groups[:i], groups[i+1:]...)
-					break
-				}
-			}
-			target = a
+			b.dead = true
+			target = cands[0]
 		case len(cands) >= 1:
 			// Try each candidate singly, in order (line 7–9).
-			for _, g := range cands {
-				if joinable([]*bigGroup{g}) {
-					target = g
+			for i := range cands {
+				if joinable(inst.Qubits, cands[i:i+1]) {
+					target = cands[i]
 					break
 				}
 			}
 		}
-		if target == nil {
-			target = &bigGroup{qubits: map[int]bool{}}
-			groups = append(groups, target)
+		if target < 0 {
+			target = len(groups)
+			groups = append(groups, bigGroup{wires: make([]int, 0, min(maxQubits, c.NumQubits))})
 		}
-		target.gates = append(target.gates, gi)
+		g := &groups[target]
+		g.gates = append(g.gates, gi)
 		for _, q := range inst.Qubits {
-			target.qubits[q] = true
+			if !slices.Contains(g.wires, q) {
+				g.wires = append(g.wires, q)
+			}
 			owner[q] = target
 		}
 	}
 
 	out := make([][]int, 0, len(groups))
 	for _, g := range groups {
-		sort.Ints(g.gates)
-		out = append(out, g.gates)
+		if !g.dead {
+			out = append(out, g.gates)
+		}
 	}
-	// Deterministic order: by first gate index.
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
 // layerDivide is Algorithm 2: splits each big group into windows of at most
 // maxLayers consecutive global depths, measured from the group's shallowest
-// gate.
+// gate. It reorders each big group in place and returns the windows as
+// subslices of them, ordered by first gate.
 func layerDivide(dag *circuit.DAG, big [][]int, maxLayers int) [][]int {
-	var out [][]int
+	out := make([][]int, 0, len(big))
 	for _, grp := range big {
 		if len(grp) == 0 {
 			continue
 		}
 		start := dag.Depth[grp[0]]
 		for _, gi := range grp {
-			if dag.Depth[gi] < start {
-				start = dag.Depth[gi]
-			}
+			start = min(start, dag.Depth[gi])
 		}
-		byWindow := map[int][]int{}
-		maxW := 0
-		for _, gi := range grp {
-			w := (dag.Depth[gi] - start) / maxLayers
-			byWindow[w] = append(byWindow[w], gi)
-			if w > maxW {
-				maxW = w
+		window := func(gi int) int { return (dag.Depth[gi] - start) / maxLayers }
+		// A stable sort by window keeps each window's gates in program
+		// order.
+		slices.SortStableFunc(grp, func(a, b int) int { return cmp.Compare(window(a), window(b)) })
+		for len(grp) > 0 {
+			n := 1
+			for n < len(grp) && window(grp[n]) == window(grp[0]) {
+				n++
 			}
-		}
-		for w := 0; w <= maxW; w++ {
-			if gates, ok := byWindow[w]; ok {
-				sort.Ints(gates)
-				out = append(out, gates)
-			}
+			out = append(out, grp[:n:n])
+			grp = grp[n:]
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	slices.SortFunc(out, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 	return out
 }
 

@@ -14,6 +14,7 @@ package mapping
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/gate"
@@ -76,36 +77,43 @@ func Map(c *circuit.Circuit, dev *topology.Device, opts Options) (*Result, error
 	}
 
 	st := &state{
-		dev:  dev,
-		opts: opts,
-		out:  circuit.New(dev.NumQubits),
-		l2p:  make([]int, c.NumQubits),
+		dev:    dev,
+		opts:   opts,
+		out:    circuit.New(dev.NumQubits),
+		l2p:    make([]int, c.NumQubits),
+		edges:  dev.UndirectedEdges(),
+		active: make([]bool, dev.NumQubits),
+		bestG:  map[string]seen{},
 	}
 	for l := range st.l2p {
 		st.l2p[l] = l
 	}
 	init := append([]int(nil), st.l2p...)
 
+	// Each layer's two-qubit pairs, built once into one array: a layer
+	// routes its own pairs and looks ahead to the next layer's.
 	dag := circuit.BuildDAG(c)
 	layers := dag.Layers()
-	twoQOf := func(layer []int) [][2]int {
-		var out [][2]int
+	twoQ := make([][][2]int, len(layers))
+	all := make([][2]int, 0, c.TwoQubitGateCount())
+	for li, layer := range layers {
+		start := len(all)
 		for _, gi := range layer {
-			g := c.Gates[gi]
-			if len(g.Qubits) == 2 {
-				out = append(out, [2]int{g.Qubits[0], g.Qubits[1]})
+			if g := c.Gates[gi]; len(g.Qubits) == 2 {
+				all = append(all, [2]int{g.Qubits[0], g.Qubits[1]})
 			}
 		}
-		return out
+		if len(all) > start {
+			twoQ[li] = all[start:len(all):len(all)]
+		}
 	}
 	for li, layer := range layers {
-		twoQ := twoQOf(layer)
 		var next [][2]int
 		if li+1 < len(layers) {
-			next = twoQOf(layers[li+1])
+			next = twoQ[li+1]
 		}
-		if len(twoQ) > 0 {
-			if err := st.routeLayer(twoQ, next); err != nil {
+		if len(twoQ[li]) > 0 {
+			if err := st.routeLayer(twoQ[li], next); err != nil {
 				return nil, err
 			}
 		}
@@ -133,12 +141,24 @@ type state struct {
 	swaps     int
 	dirFixes  int
 	fallbacks int
+
+	// The search's buffers, allocated once per Map and reused by every
+	// layer and every A* expansion.
+	edges  []topology.Edge // the device's couplings, each once
+	active []bool          // activeQubits' set, indexed by physical qubit
+	xedges []topology.Edge // crosstalkPairs' edge list
+	layout []int           // a child's layout before pruning
+	key    []byte          // its visited-set key
+	route  [][2]int        // its swap list
+	bestG  map[string]seen // best (swaps, penalty) reaching each layout
+	open   nodeHeap        // the A* frontier
 }
 
 // emitMapped appends a logical gate translated to physical operands,
 // fixing CX direction with Hadamards when needed.
 func (s *state) emitMapped(g gate.Instance) error {
-	phys := make([]int, len(g.Qubits))
+	var arr [2]int // Map admits at most two operands
+	phys := arr[:len(g.Qubits)]
 	for i, q := range g.Qubits {
 		phys[i] = s.l2p[q]
 	}
@@ -212,6 +232,7 @@ func (s *state) routeLayer(pairs, next [][2]int) error {
 
 type searchNode struct {
 	layout []int // logical → physical
+	key    string
 	swaps  [][2]int
 	g      float64
 	f      float64
@@ -231,12 +252,21 @@ func (h *nodeHeap) Pop() interface{} {
 	return n
 }
 
-func layoutKey(layout []int) string {
-	b := make([]byte, len(layout))
-	for i, p := range layout {
-		b[i] = byte(p)
+// appendLayoutKey appends a layout's visited-set key, one byte per
+// logical qubit. Crosstalk-aware goal selection breaks cost ties on the
+// smaller key, so this byte order is part of the mapper's output.
+func appendLayoutKey(b []byte, layout []int) []byte {
+	for _, p := range layout {
+		b = append(b, byte(p))
 	}
-	return string(b)
+	return b
+}
+
+// seen is the best route found to one layout: its swap count and, when
+// crosstalk-aware, its crosstalk penalty.
+type seen struct {
+	g   float64
+	pen int
 }
 
 // heuristic is the residual swap-distance term Σ h(g, σ) of the paper's
@@ -262,13 +292,14 @@ func (s *state) heuristic(layout []int, pairs [][2]int) float64 {
 // inserted swap gates of the candidate route — swaps lower to CX triples
 // that execute adjacent to the layer's gates.
 func (s *state) crosstalkPairs(layout []int, pairs [][2]int, swaps [][2]int) int {
-	edges := make([]topology.Edge, 0, len(pairs)+len(swaps))
+	edges := s.xedges[:0]
 	for _, pr := range pairs {
 		edges = append(edges, topology.Edge{From: layout[pr[0]], To: layout[pr[1]]})
 	}
 	for _, sw := range swaps {
 		edges = append(edges, topology.Edge{From: sw[0], To: sw[1]})
 	}
+	s.xedges = edges
 	count := 0
 	for i := 0; i < len(edges); i++ {
 		for j := i + 1; j < len(edges); j++ {
@@ -290,16 +321,16 @@ func (s *state) executable(layout []int, pairs [][2]int) bool {
 	return true
 }
 
-// activeQubits returns the physical qubits currently hosting any logical
-// qubit of the layer — swaps are only expanded on edges touching these, the
-// standard Zulehner pruning.
-func (s *state) activeQubits(layout []int, pairs [][2]int) map[int]bool {
-	act := map[int]bool{}
+// activeQubits marks in s.active the physical qubits currently hosting
+// any logical qubit of the layer — swaps are only expanded on edges
+// touching these, the standard Zulehner pruning.
+func (s *state) activeQubits(layout []int, pairs [][2]int) []bool {
+	clear(s.active)
 	for _, pr := range pairs {
-		act[layout[pr[0]]] = true
-		act[layout[pr[1]]] = true
+		s.active[layout[pr[0]]] = true
+		s.active[layout[pr[1]]] = true
 	}
-	return act
+	return s.active
 }
 
 // crosstalkSlack is how many extra swaps beyond the minimum the
@@ -309,29 +340,32 @@ func (s *state) activeQubits(layout []int, pairs [][2]int) map[int]bool {
 // than they remove in the current layer.
 const crosstalkSlack = 0
 
+// searchAStar routes one layer. Each child is built in the state's
+// scratch buffers and copied out only if it survives the visited-set
+// prune. The frontier is a container/heap, which breaks f ties by push
+// order, so the order children are pushed in is part of the output.
 func (s *state) searchAStar(pairs, next [][2]int) ([][2]int, bool) {
 	start := &searchNode{layout: append([]int(nil), s.l2p...)}
 	start.f = s.heuristic(start.layout, pairs)
 	if s.executable(start.layout, pairs) && !s.opts.CrosstalkAware {
 		return nil, true
 	}
-	open := &nodeHeap{}
-	heap.Init(open)
+	start.key = string(appendLayoutKey(s.key[:0], start.layout))
+	clear(s.open)
+	open := &s.open
+	*open = (*open)[:0]
 	heap.Push(open, start)
 	// Visited pruning keyed by layout. When crosstalk-aware, two routes to
 	// one layout can differ in their swap-edge crosstalk, so the prune
 	// keeps the (swaps, penalty) lexicographic best.
-	type seen struct {
-		g   float64
-		pen int
-	}
 	penOf := func(layout []int, swaps [][2]int) int {
 		if !s.opts.CrosstalkAware {
 			return 0
 		}
 		return s.crosstalkPairs(layout, pairs, swaps)
 	}
-	bestG := map[string]seen{layoutKey(start.layout): {0, penOf(start.layout, nil)}}
+	clear(s.bestG)
+	s.bestG[start.key] = seen{0, penOf(start.layout, nil)}
 
 	// Phase 1 finds the minimal swap count gStar with plain A*. When
 	// crosstalk-aware, phase 2 keeps popping nodes with f ≤ gStar + slack
@@ -341,7 +375,6 @@ func (s *state) searchAStar(pairs, next [][2]int) ([][2]int, bool) {
 	gStar := -1.0
 	var best *searchNode
 	bestCost := 0.0
-	bestKey := ""
 	for open.Len() > 0 {
 		cur := heap.Pop(open).(*searchNode)
 		if gStar >= 0 && cur.f > gStar+crosstalkSlack {
@@ -356,9 +389,8 @@ func (s *state) searchAStar(pairs, next [][2]int) ([][2]int, bool) {
 			}
 			cost := cur.g + s.opts.CrosstalkWeight*float64(s.crosstalkPairs(cur.layout, pairs, cur.swaps)) +
 				0.5*s.opts.CrosstalkWeight*float64(s.crosstalkPairs(cur.layout, next, nil))
-			key := layoutKey(cur.layout)
-			if best == nil || cost < bestCost || (cost == bestCost && key < bestKey) {
-				best, bestCost, bestKey = cur, cost, key
+			if best == nil || cost < bestCost || (cost == bestCost && cur.key < best.key) {
+				best, bestCost = cur, cost
 			}
 			// Goal states still expand: a further swap may trade into the
 			// slack budget.
@@ -374,11 +406,11 @@ func (s *state) searchAStar(pairs, next [][2]int) ([][2]int, bool) {
 			continue // deeper nodes cannot beat the slack budget
 		}
 		act := s.activeQubits(cur.layout, pairs)
-		for _, e := range s.dev.UndirectedEdges() {
+		for _, e := range s.edges {
 			if !act[e.From] && !act[e.To] {
 				continue
 			}
-			nl := append([]int(nil), cur.layout...)
+			nl := append(s.layout[:0], cur.layout...)
 			for l, p := range nl {
 				switch p {
 				case e.From:
@@ -387,19 +419,21 @@ func (s *state) searchAStar(pairs, next [][2]int) ([][2]int, bool) {
 					nl[l] = e.From
 				}
 			}
+			s.layout = nl
 			ng := cur.g + 1
-			key := layoutKey(nl)
-			nswaps := append(append([][2]int(nil), cur.swaps...), [2]int{e.From, e.To})
-			npen := penOf(nl, nswaps)
-			if old, ok := bestG[key]; ok && (old.g < ng || (old.g == ng && old.pen <= npen)) {
+			s.key = appendLayoutKey(s.key[:0], nl)
+			s.route = append(append(s.route[:0], cur.swaps...), [2]int{e.From, e.To})
+			npen := penOf(nl, s.route)
+			if old, ok := s.bestG[string(s.key)]; ok && (old.g < ng || (old.g == ng && old.pen <= npen)) {
 				continue
 			}
-			bestG[key] = seen{ng, npen}
 			nn := &searchNode{
-				layout: nl,
-				swaps:  nswaps,
+				layout: slices.Clone(nl),
+				key:    string(s.key),
+				swaps:  slices.Clone(s.route),
 				g:      ng,
 			}
+			s.bestG[nn.key] = seen{ng, npen}
 			nn.f = ng + s.heuristic(nl, pairs)
 			heap.Push(open, nn)
 		}

@@ -45,18 +45,8 @@ func wantsAsync(r *http.Request) bool {
 // reference is held until the job's work completes (done) or is vetoed
 // by cancellation (start), never by the handler itself.
 func (s *Server) dispatchAsync(w http.ResponseWriter, r *http.Request, req CompileRequest, circuit, waveforms bool) {
-	prog, err := s.ingest(req)
-	if err != nil {
-		s.failures.Add(1)
-		s.logRequestError(r, "ingest", err)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ns, err := s.registry.Acquire(req.Device)
-	if err != nil {
-		s.failures.Add(1)
-		s.logRequestError(r, "route", err)
-		writeError(w, http.StatusBadRequest, err)
+	prog, ns := s.admit(w, r, req)
+	if ns == nil {
 		return
 	}
 	kind, endpoint := "compile", "/v1/compile"

@@ -375,27 +375,15 @@ func (s *Server) Close() {
 // error response has already been written. r carries the request trace
 // and ID planted by the middleware.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, req CompileRequest, circuit, waveforms bool) *compilesvc.Result {
-	tr := obs.TraceFrom(r.Context())
-	sp := tr.StartSpan("parse")
-	prog, err := s.ingest(req)
-	if err != nil {
-		s.failures.Add(1)
-		s.logRequestError(r, "ingest", err)
-		writeError(w, http.StatusBadRequest, err)
-		return nil
-	}
-	sp.End()
-	ns, err := s.registry.Acquire(req.Device)
-	if err != nil {
-		s.failures.Add(1)
-		s.logRequestError(r, "route", err)
-		writeError(w, http.StatusBadRequest, err)
+	prog, ns := s.admit(w, r, req)
+	if ns == nil {
 		return nil
 	}
 	// The reference keeps this namespace (and its retiring epoch) alive
 	// until the response is assembled, even if a calibration lands
 	// mid-request.
 	defer ns.Release()
+	tr := obs.TraceFrom(r.Context())
 	tr.SetMeta(ns.DeviceName, ns.Epoch, prog.NumQubits, prog.GateCount())
 
 	begin := time.Now()
@@ -452,6 +440,36 @@ func (s *Server) logRequestError(r *http.Request, stage string, err error) {
 		"stage", stage,
 		"request_id", obs.RequestIDFrom(r.Context()),
 		"error", err.Error())
+}
+
+// admit is the ingest-and-route step of every compile endpoint, sync and
+// async: parse the program, route the device field to its current-epoch
+// namespace, and check that the program fits that device. Each failure
+// is the client's: it is answered 400 here and admit returns a nil
+// namespace. On success the caller owns the namespace reference.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, req CompileRequest) (*circuit.Circuit, *devreg.Namespace) {
+	fail := func(stage string, err error) (*circuit.Circuit, *devreg.Namespace) {
+		s.failures.Add(1)
+		s.logRequestError(r, stage, err)
+		writeError(w, http.StatusBadRequest, err)
+		return nil, nil
+	}
+	sp := obs.TraceFrom(r.Context()).StartSpan("parse")
+	prog, err := s.ingest(req)
+	if err != nil {
+		return fail("ingest", err)
+	}
+	sp.End()
+	ns, err := s.registry.Acquire(req.Device)
+	if err != nil {
+		return fail("route", err)
+	}
+	if dev := ns.Comp.Options().Device; prog.NumQubits > dev.NumQubits {
+		ns.Release()
+		return fail("route", fmt.Errorf("circuit needs %d qubits, device %q has %d",
+			prog.NumQubits, dev.Name, dev.NumQubits))
+	}
+	return prog, ns
 }
 
 // ingest turns a request body into a circuit.

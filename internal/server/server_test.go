@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -516,5 +517,43 @@ func TestServerConcurrentSeededDuplicates(t *testing.T) {
 	}
 	if got := s.Store().Len(); getStats(t, ts.URL).SeedIndex.Entries != got {
 		t.Fatalf("index/store entry mismatch after concurrent load")
+	}
+}
+
+// TestServerRejectsProgramWiderThanDevice: a program with more qubits
+// than its device is the client's error, answered 400 by the sync, the
+// circuit and the async endpoints before it takes a worker, with the
+// mapper's reason stated once.
+func TestServerRejectsProgramWiderThanDevice(t *testing.T) {
+	_, ts := newTestServer(t) // linear-3
+	fiveQubits := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\nh q[0];\ncx q[0],q[4];\n"
+	cases := []struct {
+		path string
+		body CompileRequest
+		want string
+	}{
+		{"/v1/compile", CompileRequest{Workload: "qft:6"}, "circuit needs 6 qubits"},
+		{"/v1/compile?async=1", CompileRequest{Workload: "qft:6"}, "circuit needs 6 qubits"},
+		{"/v1/circuits/compile", CompileRequest{QASM: fiveQubits}, "circuit needs 5 qubits"},
+		{"/v1/circuits/compile?async=1", CompileRequest{QASM: fiveQubits}, "circuit needs 5 qubits"},
+	}
+	for _, c := range cases {
+		body, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if resp.StatusCode != http.StatusBadRequest || strings.Count(e["error"], c.want) != 1 {
+			t.Errorf("%s: status %d, error %q; want 400 naming %q once", c.path, resp.StatusCode, e["error"], c.want)
+		}
 	}
 }

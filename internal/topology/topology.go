@@ -280,13 +280,11 @@ func (d *Device) UndirectedEdges() []Edge {
 // are adjacent, etc. This is the "closeness" notion behind the paper's
 // crosstalk indicator I(gm, gn).
 func (d *Device) EdgeDistance(e1, e2 Edge) int {
+	from, to := d.dist[e1.From], d.dist[e1.To]
 	best := -1
-	for _, a := range []int{e1.From, e1.To} {
-		for _, b := range []int{e2.From, e2.To} {
-			dd := d.dist[a][b]
-			if dd >= 0 && (best < 0 || dd < best) {
-				best = dd
-			}
+	for _, dd := range [4]int{from[e2.From], from[e2.To], to[e2.From], to[e2.To]} {
+		if dd >= 0 && (best < 0 || dd < best) {
+			best = dd
 		}
 	}
 	return best

@@ -30,9 +30,7 @@ import (
 	"accqoc/internal/circuit"
 	"accqoc/internal/cmat"
 	"accqoc/internal/crosstalk"
-	"accqoc/internal/gatepulse"
 	"accqoc/internal/grouping"
-	"accqoc/internal/latency"
 	"accqoc/internal/mapping"
 	"accqoc/internal/precompile"
 	"accqoc/internal/seedindex"
@@ -191,7 +189,7 @@ func (c *Compiler) ProfileParallel(programs []*circuit.Circuit, workers int) (*P
 // a plan against their respective libraries; scheduling afterwards is
 // lookup-only.
 type GroupPlan struct {
-	Prepared *Prepared
+	*Prepared
 	// Keys[i] is the canonical library key of occurrence i; Swapped[i]
 	// reports that the occurrence mirrors the canonical qubit orientation
 	// (its pulse replays with the per-qubit channels exchanged).
@@ -209,6 +207,12 @@ func (c *Compiler) PlanGroups(prog *circuit.Circuit) (*GroupPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	return planPrepared(prep)
+}
+
+// planPrepared runs the canonical-key pass over a prepared program's
+// groups.
+func planPrepared(prep *Prepared) (*GroupPlan, error) {
 	gr := prep.Grouping
 	plan := &GroupPlan{
 		Prepared: prep,
@@ -226,27 +230,13 @@ func (c *Compiler) PlanGroups(prog *circuit.Circuit) (*GroupPlan, error) {
 	return plan, nil
 }
 
-// Result seeds a CompileResult with the plan's prepared program and
-// occurrence keys — the fields schedule assembly needs. Resolution
-// counters (coverage, training cost, latencies) are the caller's to fill.
-func (p *GroupPlan) Result() *CompileResult {
-	return &CompileResult{
-		Prepared: *p.Prepared,
-		Keys:     append([]string(nil), p.Keys...),
-		Swapped:  append([]bool(nil), p.Swapped...),
-	}
-}
-
-// CompileResult reports one program's accelerated dynamic compilation.
+// CompileResult reports one program's accelerated dynamic compilation:
+// its plan (the prepared program with every occurrence's canonical key
+// and orientation, resolved once during the key pass so that scheduling
+// never rebuilds a unitary or repeats the orientation search), the
+// resolution counters and the estimates.
 type CompileResult struct {
-	Prepared
-
-	// Keys and Swapped record, per group occurrence, the canonical library
-	// key and whether the occurrence mirrors the canonical orientation —
-	// resolved once during the key pass so that scheduling never rebuilds
-	// a unitary or repeats the orientation search.
-	Keys    []string
-	Swapped []bool
+	*GroupPlan
 
 	// Coverage of group occurrences by the pre-compiled library (§V-A).
 	CoverageRate  float64
@@ -259,13 +249,7 @@ type CompileResult struct {
 	TrainingTime       time.Duration
 
 	// Latency results (Algorithm 3) against the gate-based baseline.
-	OverallLatencyNs   float64
-	GateBasedLatencyNs float64
-	LatencyReduction   float64 // gate-based / QOC
-
-	// EstimatedFidelity folds gate errors, crosstalk inflation and
-	// decoherence over the QOC latency (§II-E accounting).
-	EstimatedFidelity float64
+	Estimates
 }
 
 // Compile runs accelerated dynamic compilation on one program: covered
@@ -274,19 +258,25 @@ type CompileResult struct {
 // Newly trained pulses are added to the library, so later programs
 // benefit.
 func (c *Compiler) Compile(prog *circuit.Circuit) (*CompileResult, error) {
+	res, _, err := c.compile(prog)
+	return res, err
+}
+
+// compile is Compile, also returning the timeline it priced the result
+// on, so BuildSchedule lays the slots out without a second Algorithm 3
+// pass.
+func (c *Compiler) compile(prog *circuit.Circuit) (*CompileResult, *timeline, error) {
 	plan, err := c.PlanGroups(prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := plan.Result()
-	gr := plan.Prepared.Grouping
+	res := &CompileResult{GroupPlan: plan, TotalGroups: len(plan.Grouping.Groups)}
 
 	// Coverage pass (§V-A): split the deduplicated plan into covered and
 	// uncovered unique groups.
-	res.TotalGroups = len(gr.Groups)
 	var uncovered []*grouping.UniqueGroup
 	for _, u := range plan.Unique {
-		if _, ok := c.lib.Entries[u.Key]; ok {
+		if c.lib.Entries[u.Key] != nil {
 			res.CoveredGroups += u.Count
 			continue
 		}
@@ -305,7 +295,7 @@ func (c *Compiler) Compile(prog *circuit.Circuit) (*CompileResult, error) {
 	sortUnique(uncovered)
 	steps, err := precompile.Plan(uncovered, c.opts.Precompile.Similarity)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, e := range precompile.Execute(steps, c.opts.Precompile, compilerStore{c}) {
 		if e != nil {
@@ -314,62 +304,33 @@ func (c *Compiler) Compile(prog *circuit.Circuit) (*CompileResult, error) {
 	}
 	res.TrainingTime = time.Since(start)
 
-	// Latency assembly (Algorithm 3) over per-occurrence latencies.
-	overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
-		e, ok := c.lib.Entries[res.Keys[i]]
-		if !ok {
-			// The group failed to train within budget: fall back to the
-			// gate-based latency of its member gates so the program still
-			// compiles end to end.
-			return c.gateFallbackNs(gr.Groups[i]), nil
-		}
-		return e.LatencyNs, nil
-	})
+	// A group that failed to train within budget stays out of the
+	// library: the timeline prices it gate-based so the program still
+	// compiles end to end.
+	tl, err := plan.lay(c.lib.Entries, c.opts.Device.Calibration)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.OverallLatencyNs = overall
-	res.GateBasedLatencyNs = gatepulse.Overall(plan.Prepared.Physical, c.opts.Device.Calibration)
-	if overall > 0 {
-		res.LatencyReduction = res.GateBasedLatencyNs / overall
-	}
-	res.EstimatedFidelity = crosstalk.ProgramFidelity(plan.Prepared.Physical, c.opts.Device, overall)
-	return res, nil
-}
-
-// gateFallbackNs prices an untrained group under the compiler's device.
-func (c *Compiler) gateFallbackNs(g *grouping.Group) float64 {
-	return GateFallbackNs(g, c.opts.Device.Calibration)
-}
-
-// GateFallbackNs prices an untrained group as the sum of its member
-// gates' calibrated pulse latencies — the gate-based fallback shared by
-// compilation, schedule assembly, and the serving path, so all three
-// always agree on an uncovered group's duration.
-func GateFallbackNs(g *grouping.Group, cal topology.Calibration) float64 {
-	var sum float64
-	for _, inst := range g.Gates {
-		sum += gatepulse.GateLatency(inst.Name, cal)
-	}
-	return sum
+	res.Estimates = Estimate(plan.Physical, c.opts.Device, tl.makespan)
+	return res, tl, nil
 }
 
 // compilerStore is Compile's Store for the executor: the compiler's
 // library, with its seed index lending identity-rooted steps their seeds.
 type compilerStore struct{ c *Compiler }
 
-// GetOrTrain trains g unless the library covers it. The result is indexed
-// under its training target (within TargetInfidelity of the achieved
-// unitary), so the insert costs no propagation and later steps of the
-// same compilation can seed from it.
+// GetOrTrain trains g unless the library covers it (a nil entry covers
+// nothing). The result is indexed under its training target (within
+// TargetInfidelity of the achieved unitary), so the insert costs no
+// propagation and later steps of the same compilation can seed from it.
 func (s compilerStore) GetOrTrain(g *grouping.UniqueGroup, train func() (*precompile.Trained, error)) (*precompile.Entry, error) {
-	if e, ok := s.c.lib.Entries[g.Key]; ok {
+	if e := s.c.lib.Entries[g.Key]; e != nil {
 		return e, nil
 	}
 	t, err := train()
 	if err != nil {
-		// Unreachable in the bracket — left uncovered; Compile's latency
-		// fallback prices it gate-based.
+		// Unreachable in the bracket — left uncovered; Compile's timeline
+		// prices it gate-based.
 		return nil, err
 	}
 	s.c.lib.Entries[g.Key] = t.Entry

@@ -2,12 +2,12 @@ package accqoc
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"accqoc/internal/circuit"
-	"accqoc/internal/gatepulse"
 	"accqoc/internal/grouping"
-	"accqoc/internal/latency"
 	"accqoc/internal/precompile"
 )
 
@@ -40,9 +40,7 @@ type BruteForceResult struct {
 	UniqueGroups       int
 	TrainingIterations int
 	TrainingTime       time.Duration
-	OverallLatencyNs   float64
-	GateBasedLatencyNs float64
-	LatencyReduction   float64
+	Estimates
 }
 
 // CompileBruteForce compiles a program with brute-force QOC: large groups,
@@ -60,48 +58,38 @@ func (c *Compiler) CompileBruteForce(prog *circuit.Circuit, bopts BruteForceOpti
 		MaxQubits: bopts.MaxQubits,
 		MaxLayers: bopts.MaxLayers,
 	}
-	gr, err := grouping.Divide(prep.Physical, pol)
+	brute := *prep
+	if brute.Grouping, err = grouping.Divide(prep.Physical, pol); err != nil {
+		return nil, err
+	}
+	plan, err := planPrepared(&brute)
 	if err != nil {
 		return nil, err
 	}
-	uniq, err := grouping.Deduplicate(gr.Groups)
-	if err != nil {
-		return nil, err
-	}
+	// Most frequent first, as grouping.Deduplicate orders a category.
+	uniq := slices.Clone(plan.Unique)
+	sort.SliceStable(uniq, func(i, j int) bool { return uniq[i].Count > uniq[j].Count })
 
-	res := &BruteForceResult{Groups: len(gr.Groups), UniqueGroups: len(uniq)}
-	latencyByKey := map[string]float64{}
+	res := &BruteForceResult{Groups: len(brute.Grouping.Groups), UniqueGroups: len(uniq)}
+	entries := make(map[string]*precompile.Entry, len(uniq))
 	start := time.Now()
 	for _, u := range uniq {
 		e, terr := precompile.TrainGroup(u, c.opts.Precompile, nil)
 		if terr != nil {
-			// Price the group gate-based; brute force keeps going.
-			latencyByKey[u.Key] = c.gateFallbackNs(u.Group)
-			continue
+			// Brute force keeps going: every occurrence of the key is
+			// priced at its representative's gate-based latency.
+			e = &precompile.Entry{Key: u.Key, NumQubits: u.NumQubits, LatencyNs: gateFallbackNs(u.Group, c.opts.Device.Calibration)}
+		} else {
+			res.TrainingIterations += e.Iterations
 		}
-		res.TrainingIterations += e.Iterations
-		latencyByKey[u.Key] = e.LatencyNs
+		entries[u.Key] = e
 	}
 	res.TrainingTime = time.Since(start)
 
-	keys := make([]string, len(gr.Groups))
-	for i, g := range gr.Groups {
-		k, kerr := g.Key()
-		if kerr != nil {
-			return nil, kerr
-		}
-		keys[i] = k
-	}
-	overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
-		return latencyByKey[keys[i]], nil
-	})
+	overall, err := plan.Makespan(entries, c.opts.Device.Calibration)
 	if err != nil {
 		return nil, err
 	}
-	res.OverallLatencyNs = overall
-	res.GateBasedLatencyNs = gatepulse.Overall(prep.Physical, c.opts.Device.Calibration)
-	if overall > 0 {
-		res.LatencyReduction = res.GateBasedLatencyNs / overall
-	}
+	res.Estimates = Estimate(prep.Physical, c.opts.Device, overall)
 	return res, nil
 }

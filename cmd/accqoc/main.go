@@ -4,7 +4,7 @@
 // Usage:
 //
 //	accqoc -in program.qasm                      # compile cold
-//	accqoc -in program.qasm -lib pulses.json     # use / extend a library
+//	accqoc -in program.qasm -lib pulses.snap     # use / extend a library
 //	accqoc -in program.qasm -policy swap2b3l -device linear16
 //
 // With -server it becomes a load-generating client against a running
@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"time"
 
@@ -27,6 +29,7 @@ import (
 	"accqoc/internal/circuit"
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
+	"accqoc/internal/libstore"
 	"accqoc/internal/precompile"
 	"accqoc/internal/qasm"
 	"accqoc/internal/topology"
@@ -40,7 +43,7 @@ func main() {
 	in := flag.String("in", "", "input OpenQASM 2.0 file (required unless -workload)")
 	policyName := flag.String("policy", "map2b4l", "grouping policy (see Table I): map2b2l|map2b3l|map2b4l|swap2b2l|swap2b3l|swap2b4l")
 	deviceName := flag.String("device", "melbourne", "device: melbourne | linear<N> | grid<R>x<C>")
-	libPath := flag.String("lib", "", "pulse library JSON to load and update")
+	libPath := flag.String("lib", "", "pulse-library snapshot (accqoc-server's format) to load and update")
 	fidelity := flag.Float64("fidelity", 1e-3, "GRAPE target infidelity")
 	maxIter := flag.Int("max-iter", 600, "GRAPE iteration cap per optimization")
 	verbose := flag.Bool("v", false, "print group-level detail")
@@ -93,11 +96,12 @@ func main() {
 		},
 	})
 	if *libPath != "" {
-		if lib, lerr := precompile.Load(*libPath); lerr == nil {
-			comp.SetLibrary(lib)
-			fmt.Printf("loaded %d library pulses from %s\n", len(lib.Entries), *libPath)
-		} else if !os.IsNotExist(lerr) {
+		n, lerr := loadLibrary(comp, *libPath)
+		if lerr != nil {
 			fatal(lerr)
+		}
+		if n > 0 {
+			fmt.Printf("loaded %d library pulses from %s\n", n, *libPath)
 		}
 	}
 
@@ -126,11 +130,28 @@ func main() {
 		}
 	}
 	if *libPath != "" {
-		if err := comp.Library().Save(*libPath); err != nil {
+		if err := libstore.SaveLibraryFingerprint(comp.Library(), *libPath, libstore.FormatGob, ""); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("library saved to %s (%d pulses)\n", *libPath, len(comp.Library().Entries))
 	}
+}
+
+// loadLibrary seeds comp from the pulse-library snapshot at path and
+// returns its entry count; a missing file leaves the library empty. The
+// snapshot decoder refuses a damaged file, an entry without a pulse and a
+// mis-keyed entry. No device fingerprint is checked: the file is the
+// caller's own library.
+func loadLibrary(comp *accqoc.Compiler, path string) (int, error) {
+	lib, _, err := libstore.LoadSnapshotFingerprint(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	comp.SetLibrary(lib)
+	return len(lib.Entries), nil
 }
 
 // groupLine is group i's -v report line: its qubits, gate count and depth

@@ -16,6 +16,7 @@ import (
 	"accqoc"
 	"accqoc/internal/circuit"
 	"accqoc/internal/grape"
+	"accqoc/internal/libstore"
 	"accqoc/internal/precompile"
 	"accqoc/internal/topology"
 	"accqoc/internal/workload"
@@ -48,21 +49,21 @@ func main() {
 	fmt.Printf("static pre-compilation: %d unique groups trained in %v (%d iterations)\n",
 		prof.UniqueGroups, time.Since(t0).Round(time.Millisecond), prof.Stats.TotalIterations)
 
-	// Persist the library — this is the artifact a fleet of compile jobs
-	// would share.
+	// Persist the library in accqoc-server's snapshot format — this is the
+	// artifact a fleet of compile jobs would share.
 	dir, err := os.MkdirTemp("", "accqoc-lib")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	libPath := filepath.Join(dir, "pulses.json")
-	if err := comp.Library().Save(libPath); err != nil {
+	libPath := filepath.Join(dir, "pulses.snap")
+	if err := libstore.SaveLibraryFingerprint(comp.Library(), libPath, libstore.FormatGob, ""); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("library saved: %s (%d pulses)\n", libPath, len(comp.Library().Entries))
 
 	// --- Online: a NEW program compiles against the loaded library. ---
-	lib, err := precompile.Load(libPath)
+	lib, _, err := libstore.LoadSnapshotFingerprint(libPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/gate"
+	"accqoc/internal/gatepulse"
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
 	"accqoc/internal/precompile"
@@ -82,7 +83,7 @@ func TestScheduleWithUntrainedGroups(t *testing.T) {
 	// Untrained group: nil pulse but a positive gate-based duration.
 	found := false
 	for _, sp := range sched.Pulses {
-		if sp.Pulse == nil && sp.DurationNs > 0 {
+		if sp.Pulse() == nil && sp.DurationNs > 0 {
 			found = true
 		}
 	}
@@ -101,5 +102,60 @@ func TestBruteForceSurvivesUntrainableGroups(t *testing.T) {
 	}
 	if res.OverallLatencyNs <= 0 {
 		t.Fatal("brute force did not fall back")
+	}
+}
+
+// TestCompileNilEntryIsUncovered: a nil library entry covers nothing.
+// Compile tries to train its group (here it cannot, so the group is
+// priced gate-based) instead of dereferencing the entry.
+func TestCompileNilEntryIsUncovered(t *testing.T) {
+	comp := New(strangledOptions(topology.Linear(2)))
+	prog := circuit.New(2)
+	prog.MustAppend(gate.CX, []int{0, 1})
+	plan, err := comp.PlanGroups(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := precompile.NewLibrary()
+	for _, key := range plan.Keys {
+		lib.Entries[key] = nil
+	}
+	comp.SetLibrary(lib)
+	res, err := comp.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CoveredGroups != 0 || res.UncoveredUnique != len(plan.Unique) {
+		t.Fatalf("covered %d, uncovered unique %d: a nil entry counted as coverage", res.CoveredGroups, res.UncoveredUnique)
+	}
+	if want := gateFallbackNs(plan.Grouping.Groups[0], comp.Options().Device.Calibration); res.OverallLatencyNs != want {
+		t.Fatalf("latency %v, want the gate-based price %v", res.OverallLatencyNs, want)
+	}
+}
+
+// TestBruteForcePricesFailedKeyAtItsRepresentative: Fig. 15's brute force
+// prices a key it failed to train at its representative occurrence's
+// gate-based latency on every occurrence. Here the windows [CX, X, X] and
+// [CX] share CX's key (X·X = I); the first is the representative, so both
+// cost CX + 2X, where pricing each occurrence by its own gates would not.
+func TestBruteForcePricesFailedKeyAtItsRepresentative(t *testing.T) {
+	comp := New(strangledOptions(topology.Linear(2)))
+	prog := circuit.New(2)
+	prog.MustAppend(gate.CX, []int{0, 1})
+	prog.MustAppend(gate.X, []int{0})
+	prog.MustAppend(gate.X, []int{0})
+	prog.MustAppend(gate.CX, []int{0, 1})
+	res, err := comp.CompileBruteForce(prog, BruteForceOptions{MaxQubits: 2, MaxLayers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Groups != 2 || res.UniqueGroups != 1 || res.TrainingIterations != 0 {
+		t.Fatalf("%d groups, %d unique, %d iterations: want two untrainable occurrences of one key",
+			res.Groups, res.UniqueGroups, res.TrainingIterations)
+	}
+	cal := comp.Options().Device.Calibration
+	rep := gatepulse.GateLatency(gate.CX, cal) + gatepulse.GateLatency(gate.X, cal) + gatepulse.GateLatency(gate.X, cal)
+	if res.OverallLatencyNs != rep+rep {
+		t.Fatalf("overall latency %v, want both occurrences at the representative's %v", res.OverallLatencyNs, rep)
 	}
 }

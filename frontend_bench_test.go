@@ -6,6 +6,7 @@ import (
 	"accqoc/internal/circuit"
 	"accqoc/internal/grouping"
 	"accqoc/internal/mapping"
+	"accqoc/internal/precompile"
 	"accqoc/internal/topology"
 	"accqoc/internal/workload"
 )
@@ -108,6 +109,38 @@ func BenchmarkPlanGroups(b *testing.B) {
 				b.Fatal(err)
 			}
 			frontEndSink += len(plan.Unique)
+		}
+	}
+}
+
+// BenchmarkResolvedTail times what a warm circuit request runs after its
+// groups resolve, over the same pool against synthetic entries for every
+// key: pricing and Algorithm 3, the slot list, Schedule.Validate and the
+// latency and fidelity estimates.
+func BenchmarkResolvedTail(b *testing.B) {
+	c, progs := frontEndPool(b)
+	dev := c.Options().Device
+	plans := make([]*GroupPlan, len(progs))
+	libs := make([]map[string]*precompile.Entry, len(progs))
+	for i, p := range progs {
+		plan, err := c.PlanGroups(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans[i], libs[i] = plan, syntheticLibrary(plan, true)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for i, plan := range plans {
+			sched, err := AssembleSchedule(&CompileResult{GroupPlan: plan}, libs[i], dev.Calibration)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sched.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			est := Estimate(plan.Physical, dev, sched.MakespanNs)
+			frontEndSink += len(sched.Pulses) + int(est.LatencyReduction) + int(1e6*est.EstimatedFidelity)
 		}
 	}
 }

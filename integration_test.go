@@ -156,13 +156,13 @@ func TestLatencyDPConsistency(t *testing.T) {
 	// gate DP only if groups serialize exactly the gate critical path.
 	// We check the weaker invariant: group DP ≥ gate DP (grouping can only
 	// lose intra-group parallelism, never gain beyond it).
-	groupLat, err := latency.OverallGroups(prep.Grouping, func(i int) (float64, error) {
-		var sum float64
-		for _, g := range prep.Grouping.Groups[i].Gates {
-			sum += gatepulse.GateLatency(g.Name, cal)
+	durations := make([]float64, len(prep.Grouping.Groups))
+	for i, grp := range prep.Grouping.Groups {
+		for _, g := range grp.Gates {
+			durations[i] += gatepulse.GateLatency(g.Name, cal)
 		}
-		return sum, nil
-	})
+	}
+	_, groupLat, err := latency.Schedule(prep.Grouping, durations)
 	if err != nil {
 		t.Fatal(err)
 	}

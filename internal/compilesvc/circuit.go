@@ -18,16 +18,11 @@ import (
 func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, entries map[string]*precompile.Entry) (*CircuitResponse, error) {
 	tr := c.req.Trace
 	sp := tr.StartSpan("assemble")
-	res := plan.Result()
 	dev := c.req.NS.Comp.Options().Device
-	sched, err := accqoc.AssembleSchedule(res, dev.Calibration, func(key string) (*precompile.Entry, bool) {
-		e, ok := entries[key]
-		return e, ok
-	})
+	sched, err := accqoc.AssembleSchedule(&accqoc.CompileResult{GroupPlan: plan}, entries, dev.Calibration)
 	if err != nil {
 		return nil, err
 	}
-	res.OverallLatencyNs = sched.MakespanNs
 	sp.End()
 	// Conformance oracle: a pulse program violating its own invariants
 	// (dependency order, per-qubit exclusivity, two-sided makespan) must
@@ -39,7 +34,7 @@ func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, ent
 	vsp.End()
 
 	esp := tr.StartSpan("estimate")
-	finalizeResponse(resp, plan.Prepared.Physical, dev, sched.MakespanNs, c.begin)
+	finalizeResponse(resp, plan.Physical, dev, sched.MakespanNs, c.begin)
 	esp.End()
 
 	out := &CircuitResponse{
@@ -49,7 +44,7 @@ func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, ent
 	}
 	// refs dedups the hash work: one MarshalBinary+SHA-256 per unique
 	// entry, however many occurrences reference it.
-	refs := make(map[string]string, len(entries))
+	refs := make(map[*precompile.Entry]string, len(entries))
 	for _, sp := range sched.Pulses {
 		slot := ScheduledPulseWire{
 			Group:      sp.Group,
@@ -58,18 +53,18 @@ func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, ent
 			DurationNs: sp.DurationNs,
 			Mirrored:   sp.Mirrored,
 		}
-		if e, eok := entries[sp.Key]; sp.Key != "" && eok && e.Pulse != nil {
-			ref, cached := refs[sp.Key]
+		if sp.Entry != nil {
+			ref, cached := refs[sp.Entry]
 			if !cached {
-				ref = WaveformRef(e)
-				refs[sp.Key] = ref
+				ref = WaveformRef(sp.Entry)
+				refs[sp.Entry] = ref
 			}
 			slot.Waveform = ref
 			if c.req.Waveforms {
 				if out.Waveforms == nil {
 					out.Waveforms = map[string]*pulse.Pulse{}
 				}
-				out.Waveforms[ref] = e.Pulse
+				out.Waveforms[ref] = sp.Entry.Pulse
 			}
 		}
 		out.Schedule = append(out.Schedule, slot)

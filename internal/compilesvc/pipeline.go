@@ -20,7 +20,6 @@ import (
 	"accqoc/internal/cmat"
 	"accqoc/internal/devreg"
 	"accqoc/internal/grouping"
-	"accqoc/internal/latency"
 	"accqoc/internal/libstore"
 	"accqoc/internal/obs"
 	"accqoc/internal/precompile"
@@ -66,7 +65,7 @@ func (p *Pool) serve(calls []*call) {
 			Qubits:      c.req.Prog.NumQubits,
 			Gates:       c.req.Prog.GateCount(),
 			Epoch:       c.req.NS.Epoch,
-			TotalGroups: len(plan.Prepared.Grouping.Groups),
+			TotalGroups: len(plan.Grouping.Groups),
 		}
 		jobs = append(jobs, job{c, plan, resp})
 		for _, u := range plan.Unique {
@@ -114,18 +113,12 @@ func finish(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, entries map[
 		return &Result{Circ: circ}, nil
 	}
 	sp := c.req.Trace.StartSpan("latency")
-	gr := plan.Prepared.Grouping
 	dev := c.req.NS.Comp.Options().Device
-	overall, err := latency.OverallGroups(gr, func(i int) (float64, error) {
-		if e, ok := entries[plan.Keys[i]]; ok {
-			return e.LatencyNs, nil
-		}
-		return accqoc.GateFallbackNs(gr.Groups[i], dev.Calibration), nil
-	})
+	overall, err := plan.Makespan(entries, dev.Calibration)
 	if err != nil {
 		return nil, err
 	}
-	finalizeResponse(resp, plan.Prepared.Physical, dev, overall, c.begin)
+	finalizeResponse(resp, plan.Physical, dev, overall, c.begin)
 	sp.End()
 	return &Result{Resp: resp}, nil
 }

@@ -5,10 +5,9 @@ import (
 	"encoding/hex"
 	"time"
 
+	"accqoc"
 	"accqoc/internal/circuit"
-	"accqoc/internal/crosstalk"
 	"accqoc/internal/devreg"
-	"accqoc/internal/gatepulse"
 	"accqoc/internal/obs"
 	"accqoc/internal/precompile"
 	"accqoc/internal/pulse"
@@ -156,11 +155,8 @@ func finalizeResponse(resp *CompileResponse, phys *circuit.Circuit, dev *topolog
 		resp.CoverageRate = 1
 	}
 	resp.WarmServed = resp.UncoveredUnique == 0
-	resp.QOCLatencyNs = overall
-	resp.GateLatencyNs = gatepulse.Overall(phys, dev.Calibration)
-	if overall > 0 {
-		resp.LatencyReduction = resp.GateLatencyNs / overall
-	}
-	resp.EstimatedFidelity = crosstalk.ProgramFidelity(phys, dev, overall)
+	est := accqoc.Estimate(phys, dev, overall)
+	resp.QOCLatencyNs, resp.GateLatencyNs = est.OverallLatencyNs, est.GateBasedLatencyNs
+	resp.LatencyReduction, resp.EstimatedFidelity = est.LatencyReduction, est.EstimatedFidelity
 	resp.CompileMillis = float64(time.Since(begin)) / float64(time.Millisecond)
 }

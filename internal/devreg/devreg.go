@@ -91,13 +91,14 @@ type Config struct {
 	// behavior) or PolicyCostAware, which evicts the lowest
 	// iterations×hits score as measured by the device's usage ledger.
 	CachePolicy string
-	// EnablePrefetch retains per-device training targets (TargetCache)
-	// past eviction so the speculative-training driver can re-train
-	// predicted misses.
+	// EnablePrefetch retains per-device training targets (TargetCache,
+	// prefetchTargetCap of them) past eviction so the speculative-training
+	// driver can re-train predicted misses.
 	EnablePrefetch bool
-	// PrefetchTargetCap bounds each device's target cache. Default 1024.
-	PrefetchTargetCap int
 }
+
+// prefetchTargetCap bounds each device's target cache.
+const prefetchTargetCap = 1024
 
 // Cache policy names accepted by Config.CachePolicy.
 const (
@@ -324,7 +325,7 @@ func (r *Registry) register(p Profile, store *libstore.Store) error {
 		return fmt.Errorf("devreg: unknown cache policy %q (want %q or %q)", r.cfg.CachePolicy, PolicyLRU, PolicyCostAware)
 	}
 	if r.cfg.EnablePrefetch {
-		d.targets = NewTargetCache(r.cfg.PrefetchTargetCap)
+		d.targets = NewTargetCache(prefetchTargetCap)
 	}
 	d.current = r.newNamespace(d, p, 0, nil, store)
 	r.devices[p.Name] = d
@@ -337,14 +338,9 @@ func (r *Registry) register(p Profile, store *libstore.Store) error {
 // snapshot saves). Serving paths must use Acquire/Release so a retiring
 // epoch outlives their requests.
 func (r *Registry) Current(name string) (*Namespace, error) {
-	r.mu.RLock()
-	if name == "" {
-		name = r.def
-	}
-	d, ok := r.devices[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("devreg: unknown device %q", name)
+	d, err := r.device(name)
+	if err != nil {
+		return nil, err
 	}
 	d.mu.Lock()
 	ns := d.current
@@ -405,14 +401,9 @@ func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *se
 // the reference keeps a retiring epoch alive until its last request
 // drains.
 func (r *Registry) Acquire(name string) (*Namespace, error) {
-	r.mu.RLock()
-	if name == "" {
-		name = r.def
-	}
-	d, ok := r.devices[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("devreg: unknown device %q", name)
+	d, err := r.device(name)
+	if err != nil {
+		return nil, err
 	}
 	d.mu.Lock()
 	ns := d.current
@@ -425,14 +416,9 @@ func (r *Registry) Acquire(name string) (*Namespace, error) {
 // The ledger is per-device and epoch-stable, so the returned pointer stays
 // valid across calibrations.
 func (r *Registry) UsageLedger(name string) (*usage.Ledger, error) {
-	r.mu.RLock()
-	if name == "" {
-		name = r.def
-	}
-	d, ok := r.devices[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("devreg: unknown device %q", name)
+	d, err := r.device(name)
+	if err != nil {
+		return nil, err
 	}
 	return d.usage, nil
 }
@@ -441,16 +427,25 @@ func (r *Registry) UsageLedger(name string) (*usage.Ledger, error) {
 // eviction policy, nil when the registry runs pure LRU. Like the ledger it
 // scores with, the policy is per-device and epoch-stable.
 func (r *Registry) EvictionPolicy(name string) (*libstore.CostAwarePolicy, error) {
+	d, err := r.device(name)
+	if err != nil {
+		return nil, err
+	}
+	return d.policy, nil
+}
+
+// device resolves a registered device name ("" = default) to its state.
+func (r *Registry) device(name string) (*deviceState, error) {
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if name == "" {
 		name = r.def
 	}
 	d, ok := r.devices[name]
-	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("devreg: unknown device %q", name)
 	}
-	return d.policy, nil
+	return d, nil
 }
 
 // Names returns the registered device names in registration order.
@@ -588,14 +583,9 @@ func (r *Registry) Calibrate(name string, u CalibrationUpdate) (*Roll, error) {
 	if u.empty() {
 		return nil, fmt.Errorf("devreg: empty calibration update (set calibration, hamiltonian, or drift_pct)")
 	}
-	r.mu.RLock()
-	if name == "" {
-		name = r.def
-	}
-	d, ok := r.devices[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("devreg: unknown device %q", name)
+	d, err := r.device(name)
+	if err != nil {
+		return nil, err
 	}
 
 	d.mu.Lock()
@@ -620,7 +610,7 @@ func (r *Registry) Calibrate(name string, u CalibrationUpdate) (*Roll, error) {
 	// Build the plan while holding the device lock so the epoch counter,
 	// roll status, and plan are consistent; the store and index snapshots
 	// below take only their own locks.
-	roll := &Roll{Device: name, Epoch: epoch, Old: old, New: next, dev: d}
+	roll := &Roll{Device: d.name, Epoch: epoch, Old: old, New: next, dev: d}
 	old.refs.Add(1)
 	next.refs.Add(1)
 	lib := old.Store.Snapshot()

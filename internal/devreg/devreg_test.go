@@ -342,3 +342,39 @@ func TestRegistryAdoptsPreloadedStore(t *testing.T) {
 		t.Fatal("default namespace did not adopt the provided store")
 	}
 }
+
+// TestDeviceLookupsShareOneRule: every per-device lookup routes "" to the
+// default device and fails an unknown name with the same error text.
+func TestDeviceLookupsShareOneRule(t *testing.T) {
+	r := newTestRegistry(t)
+	const want = `devreg: unknown device "nope"`
+	lookups := map[string]func(string) error{
+		"Current":        func(n string) error { _, err := r.Current(n); return err },
+		"UsageLedger":    func(n string) error { _, err := r.UsageLedger(n); return err },
+		"EvictionPolicy": func(n string) error { _, err := r.EvictionPolicy(n); return err },
+		"Acquire": func(n string) error {
+			ns, err := r.Acquire(n)
+			ns.Release()
+			return err
+		},
+	}
+	for name, lookup := range lookups {
+		if err := lookup("nope"); err == nil || err.Error() != want {
+			t.Fatalf("%s(unknown) error %v, want %q", name, err, want)
+		}
+		if err := lookup(""); err != nil {
+			t.Fatalf("%s(default): %v", name, err)
+		}
+	}
+	if _, err := r.Calibrate("nope", CalibrationUpdate{DriftPct: 1}); err == nil || err.Error() != want {
+		t.Fatalf("Calibrate(unknown) error %v, want %q", err, want)
+	}
+	roll, err := r.Calibrate("", CalibrationUpdate{DriftPct: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer roll.Finish()
+	if roll.Device != "lin3" || roll.Epoch != 1 {
+		t.Fatalf("default calibration rolled %q to epoch %d, want lin3 to 1", roll.Device, roll.Epoch)
+	}
+}

@@ -40,12 +40,8 @@ type TargetCache struct {
 	lru   *list.List               // front = most recently put/got
 }
 
-// NewTargetCache returns an empty cache holding at most cap targets
-// (cap <= 0 selects 1024).
+// NewTargetCache returns an empty cache holding at most cap targets.
 func NewTargetCache(cap int) *TargetCache {
-	if cap <= 0 {
-		cap = 1024
-	}
 	return &TargetCache{cap: cap, items: map[string]*list.Element{}, lru: list.New()}
 }
 

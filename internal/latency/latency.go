@@ -11,16 +11,7 @@ import (
 	"accqoc/internal/grouping"
 )
 
-// OverallGroups runs Algorithm 3 on a grouping's DAG: each group's finish
-// time is the max of its predecessors' finish times plus its own latency;
-// the overall latency is the maximum finish time. groupLatency returns the
-// pulse duration (ns) of group i. It is Schedule's overall latency.
-func OverallGroups(gr *grouping.Grouping, groupLatency func(i int) (float64, error)) (float64, error) {
-	_, overall, err := Schedule(gr, groupLatency)
-	return overall, err
-}
-
-// OverallGates runs the same DP over the gate-level DAG with a per-gate
+// OverallGates runs Schedule's DP over the gate-level DAG with a per-gate
 // latency function — the gate-based compilation baseline (§II-C): pulses
 // concatenate along the dependency critical path.
 func OverallGates(c *circuit.Circuit, gateLatency func(g int) float64) float64 {
@@ -42,14 +33,17 @@ func OverallGates(c *circuit.Circuit, gateLatency func(g int) float64) float64 {
 	return overall
 }
 
-// Schedule returns each group's ASAP start time under Algorithm 3 and the
-// overall latency — useful for emitting pulse schedules and for tests that
-// need more than the scalar result. A negative latency, a latency error
-// (wrapped with its group) or a corrupt DAG fails it.
-func Schedule(gr *grouping.Grouping, groupLatency func(i int) (float64, error)) (starts []float64, overall float64, err error) {
+// Schedule runs Algorithm 3 on a grouping's DAG: each group starts when
+// its last predecessor finishes and runs for durations[i] ns, and the
+// overall latency is the latest finish. It returns every group's ASAP
+// start and the overall latency. A negative duration or a corrupt DAG
+// fails it.
+func Schedule(gr *grouping.Grouping, durations []float64) (starts []float64, overall float64, err error) {
 	n := len(gr.Groups)
+	if len(durations) != n {
+		return nil, 0, fmt.Errorf("latency: %d durations for %d groups", len(durations), n)
+	}
 	starts = make([]float64, n)
-	finish := make([]float64, n)
 	done := make([]bool, n)
 	// Kahn topological traversal — group order is not assumed sorted.
 	indeg := make([]int, n)
@@ -72,22 +66,18 @@ func Schedule(gr *grouping.Grouping, groupLatency func(i int) (float64, error)) 
 			if !done[p] {
 				return nil, 0, fmt.Errorf("latency: predecessor %d of %d not finished — DAG corrupt", p, cur)
 			}
-			if finish[p] > start {
-				start = finish[p]
+			if finish := starts[p] + durations[p]; finish > start {
+				start = finish
 			}
 		}
-		lat, lerr := groupLatency(cur)
-		if lerr != nil {
-			return nil, 0, fmt.Errorf("latency: group %d: %w", cur, lerr)
-		}
+		lat := durations[cur]
 		if lat < 0 {
 			return nil, 0, fmt.Errorf("latency: negative latency %v for group %d", lat, cur)
 		}
 		starts[cur] = start
-		finish[cur] = start + lat
 		done[cur] = true
-		if finish[cur] > overall {
-			overall = finish[cur]
+		if finish := start + lat; finish > overall {
+			overall = finish
 		}
 		for _, s := range gr.Succs[cur] {
 			indeg[s]--

@@ -25,7 +25,7 @@ func TestOverallGroupsChain(t *testing.T) {
 		c.MustAppend(gate.T, []int{0})
 	}
 	gr := divide(t, c, 2) // 3 chunks
-	got, err := OverallGroups(gr, func(i int) (float64, error) { return 10, nil })
+	_, got, err := Schedule(gr, []float64{10, 10, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestOverallGroupsParallelBranches(t *testing.T) {
 		t.Fatalf("expected 2 groups, got %d", len(gr.Groups))
 	}
 	lat := []float64{100, 250}
-	got, err := OverallGroups(gr, func(i int) (float64, error) { return lat[i], nil })
+	_, got, err := Schedule(gr, lat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestOverallGroupsDiamond(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OverallGroups(gr, func(i int) (float64, error) { return 5, nil })
+	_, got, err := Schedule(gr, []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestOverallGroupsErrorPropagation(t *testing.T) {
 	c := circuit.New(1)
 	c.MustAppend(gate.T, []int{0})
 	gr := divide(t, c, 2)
-	if _, err := OverallGroups(gr, func(i int) (float64, error) { return -1, nil }); err == nil {
+	if _, _, err := Schedule(gr, []float64{-1}); err == nil {
 		t.Fatal("negative latency accepted")
 	}
 }
@@ -88,7 +88,7 @@ func TestScheduleRejectsNegativeLatency(t *testing.T) {
 	}
 	gr := divide(t, c, 2) // two chunks of 2 gates
 	lat := []float64{7, -1}
-	if _, _, err := Schedule(gr, func(i int) (float64, error) { return lat[i], nil }); err == nil {
+	if _, _, err := Schedule(gr, lat); err == nil {
 		t.Fatal("Schedule accepted a negative latency")
 	}
 }
@@ -112,7 +112,7 @@ func TestScheduleStartTimes(t *testing.T) {
 		c.MustAppend(gate.T, []int{0})
 	}
 	gr := divide(t, c, 2) // two chunks of 2 gates
-	starts, overall, err := Schedule(gr, func(i int) (float64, error) { return 7, nil })
+	starts, overall, err := Schedule(gr, []float64{7, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestScheduleStartTimes(t *testing.T) {
 
 func TestEmptyGrouping(t *testing.T) {
 	gr := divide(t, circuit.New(2), 2)
-	got, err := OverallGroups(gr, func(i int) (float64, error) { return 1, nil })
+	_, got, err := Schedule(gr, nil)
 	if err != nil || got != 0 {
 		t.Fatalf("empty = %v, %v", got, err)
 	}

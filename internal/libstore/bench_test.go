@@ -79,7 +79,7 @@ func benchmarkSnapshotSave(b *testing.B, format Format, entries int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SaveLibrary(lib, path, format); err != nil {
+		if err := SaveLibraryFingerprint(lib, path, format, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,13 +87,13 @@ func benchmarkSnapshotSave(b *testing.B, format Format, entries int) {
 
 func benchmarkSnapshotLoad(b *testing.B, format Format, entries int) {
 	path := filepath.Join(b.TempDir(), "bench.snap")
-	if err := SaveLibrary(benchStore(entries).Snapshot(), path, format); err != nil {
+	if err := SaveLibraryFingerprint(benchStore(entries).Snapshot(), path, format, ""); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadSnapshot(path); err != nil {
+		if _, _, err := LoadSnapshotFingerprint(path); err != nil {
 			b.Fatal(err)
 		}
 	}

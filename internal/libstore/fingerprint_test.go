@@ -1,10 +1,16 @@
 package libstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"accqoc/internal/precompile"
 )
 
 // TestSnapshotFingerprintRoundTrip pins the version-2 layout: a
@@ -32,19 +38,25 @@ func TestSnapshotFingerprintRoundTrip(t *testing.T) {
 		if len(got.Entries) != len(lib.Entries) {
 			t.Fatalf("%s: %d entries, want %d", format, len(got.Entries), len(lib.Entries))
 		}
-		// The fingerprint-agnostic decoder still reads the file.
-		if _, err := DecodeSnapshot(data); err != nil {
-			t.Fatalf("%s: DecodeSnapshot on v2: %v", format, err)
-		}
 	}
-	// Empty fingerprint: version-1 output, byte-identical to the legacy
-	// encoder, and it decodes with an empty fingerprint.
-	v1, err := EncodeSnapshot(lib, FormatGob)
+	// Empty fingerprint: version-1 output, byte-identical to the
+	// version-1 layout (header, CRC-32 of the payload, payload), and it
+	// decodes with an empty fingerprint. One entry keeps the gob payload
+	// deterministic (a map's encoding order is not).
+	one := precompile.NewLibrary()
+	one.Entries[synthEntry(0).Key] = synthEntry(0)
+	v1, err := EncodeSnapshotFingerprint(one, FormatGob, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1[4] != snapshotVersion {
-		t.Fatalf("empty-fingerprint snapshot has version %d, want %d", v1[4], snapshotVersion)
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(one); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("AQLS"), snapshotVersion, byte(FormatGob), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(want[6:], crc32.ChecksumIEEE(payload.Bytes()))
+	if want = append(want, payload.Bytes()...); !bytes.Equal(v1, want) {
+		t.Fatalf("empty-fingerprint snapshot is not the version-1 layout: %d bytes (version %d), want %d", len(v1), v1[4], len(want))
 	}
 	if _, fp0, err := DecodeSnapshotFingerprint(v1); err != nil || fp0 != "" {
 		t.Fatalf("v1 decode: fp=%q err=%v", fp0, err)
@@ -94,7 +106,7 @@ func TestLoadIntoCheckedMismatch(t *testing.T) {
 
 	// A legacy (unfingerprinted) snapshot cannot be checked and loads.
 	legacyPath := filepath.Join(dir, "legacy.snap")
-	if err := src.SaveSnapshot(legacyPath, FormatGob); err != nil {
+	if err := src.SaveSnapshotFingerprint(legacyPath, FormatGob, ""); err != nil {
 		t.Fatal(err)
 	}
 	legacy := New(Options{})

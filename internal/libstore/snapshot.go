@@ -52,8 +52,8 @@ const (
 	// FormatGob is the compact binary encoding (via pulse.GobEncode's
 	// versioned layout). Preferred for large libraries.
 	FormatGob Format = 1
-	// FormatJSON is the human-inspectable encoding, interchangeable with
-	// precompile.Library.Save output (payload only, without the header).
+	// FormatJSON is the human-inspectable encoding: the payload is the
+	// library's JSON.
 	FormatJSON Format = 2
 )
 
@@ -92,13 +92,6 @@ const headerLen = 4 + 1 + 1 + 4
 // maxFingerprintLen bounds the fingerprint section (a 2-byte length field).
 const maxFingerprintLen = 1<<16 - 1
 
-// EncodeSnapshot renders a library in the versioned snapshot layout with no
-// fingerprint (a version-1 file, byte-identical to the pre-fingerprint
-// encoder).
-func EncodeSnapshot(lib *precompile.Library, format Format) ([]byte, error) {
-	return EncodeSnapshotFingerprint(lib, format, "")
-}
-
 // EncodeSnapshotFingerprint renders a library in the versioned snapshot
 // layout carrying the given device+calibration fingerprint. An empty
 // fingerprint produces a version-1 file; a non-empty one a version-2 file.
@@ -136,13 +129,6 @@ func EncodeSnapshotFingerprint(lib *precompile.Library, format Format, fingerpri
 	out[5] = byte(format)
 	binary.LittleEndian.PutUint32(out[6:10], crc32.ChecksumIEEE(tail))
 	return append(out, tail...), nil
-}
-
-// DecodeSnapshot parses a snapshot produced by EncodeSnapshot, validating
-// the header and every entry's pulse and discarding any fingerprint.
-func DecodeSnapshot(data []byte) (*precompile.Library, error) {
-	lib, _, err := DecodeSnapshotFingerprint(data)
-	return lib, err
 }
 
 // DecodeSnapshotFingerprint parses a snapshot, returning the library and
@@ -208,23 +194,11 @@ func DecodeSnapshotFingerprint(data []byte) (*precompile.Library, string, error)
 	return lib, fingerprint, nil
 }
 
-// SaveSnapshot atomically writes the store's current entries to path with
-// no fingerprint (legacy layout). Per-entry hit counts are stamped into
-// the saved entries so a reload resumes the most-requested-first ordering.
-func (s *Store) SaveSnapshot(path string, format Format) error {
-	return SaveLibrary(s.SnapshotWithHits(), path, format)
-}
-
 // SaveSnapshotFingerprint atomically writes the store's current entries to
 // path, stamped with the device+calibration fingerprint they were trained
 // under and with per-entry hit counts.
 func (s *Store) SaveSnapshotFingerprint(path string, format Format, fingerprint string) error {
 	return SaveLibraryFingerprint(s.SnapshotWithHits(), path, format, fingerprint)
-}
-
-// SaveLibrary atomically writes a library snapshot to path.
-func SaveLibrary(lib *precompile.Library, path string, format Format) error {
-	return SaveLibraryFingerprint(lib, path, format, "")
 }
 
 // SaveLibraryFingerprint atomically writes a fingerprinted library
@@ -257,12 +231,6 @@ func SaveLibraryFingerprint(lib *precompile.Library, path string, format Format,
 	return nil
 }
 
-// LoadSnapshot reads a snapshot file into a fresh library.
-func LoadSnapshot(path string) (*precompile.Library, error) {
-	lib, _, err := LoadSnapshotFingerprint(path)
-	return lib, err
-}
-
 // LoadSnapshotFingerprint reads a snapshot file into a fresh library and
 // returns the embedded fingerprint ("" for pre-fingerprint files).
 func LoadSnapshotFingerprint(path string) (*precompile.Library, string, error) {
@@ -275,13 +243,6 @@ func LoadSnapshotFingerprint(path string) (*precompile.Library, string, error) {
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
 	return lib, fp, nil
-}
-
-// LoadInto reads a snapshot file and merges its entries into the store
-// without any fingerprint check. It returns the number of entries loaded.
-func (s *Store) LoadInto(path string) (int, error) {
-	n, _, err := s.LoadIntoChecked(path, "", false)
-	return n, err
 }
 
 // LoadIntoChecked reads a snapshot file and merges its entries into the

@@ -269,14 +269,6 @@ func (s *Store) hookMissed(key string) {
 	}
 }
 
-// FromLibrary returns a store pre-populated with a library's entries (for
-// example one loaded from a snapshot).
-func FromLibrary(lib *precompile.Library, opts Options) *Store {
-	s := New(opts)
-	s.AddLibrary(lib)
-	return s
-}
-
 func (s *Store) shardFor(key string) *shard {
 	h := maphash.String(s.seed, key)
 	return s.shards[h&uint64(len(s.shards)-1)]

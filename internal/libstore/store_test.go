@@ -271,10 +271,10 @@ func TestSnapshotRoundTripSynthetic(t *testing.T) {
 				s.Put(synthEntry(i))
 			}
 			path := filepath.Join(t.TempDir(), "lib.snap")
-			if err := s.SaveSnapshot(path, format); err != nil {
+			if err := s.SaveSnapshotFingerprint(path, format, ""); err != nil {
 				t.Fatal(err)
 			}
-			lib, err := LoadSnapshot(path)
+			lib, _, err := LoadSnapshotFingerprint(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,10 +330,10 @@ func TestSnapshotRoundTripTrained(t *testing.T) {
 	}
 	for _, format := range []Format{FormatGob, FormatJSON} {
 		path := filepath.Join(t.TempDir(), "trained."+format.String())
-		if err := SaveLibrary(lib, path, format); err != nil {
+		if err := SaveLibraryFingerprint(lib, path, format, ""); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadSnapshot(path)
+		got, _, err := LoadSnapshotFingerprint(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Put(synthEntry(i))
 	}
-	valid, err := EncodeSnapshot(s.Snapshot(), FormatGob)
+	valid, err := EncodeSnapshotFingerprint(s.Snapshot(), FormatGob, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 		"junk-payload": append(append([]byte{}, valid[:headerLen]...), []byte("this is not gob")...),
 	}
 	for name, data := range cases {
-		if _, err := LoadSnapshot(write(name, data)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := LoadSnapshotFingerprint(write(name, data)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -401,18 +401,18 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 	hdr[4] = snapshotVersion
 	hdr[5] = byte(FormatJSON)
 	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(badPulse))
-	if _, err := LoadSnapshot(write("bad-pulse", append(hdr, badPulse...))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadSnapshotFingerprint(write("bad-pulse", append(hdr, badPulse...))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad-pulse: err = %v, want ErrCorrupt", err)
 	}
 	// Entry filed under a map key different from its own Key (would be
 	// silently re-keyed by AddLibrary if accepted).
 	mismatched := []byte(`{"entries":{"other":{"key":"k","num_qubits":1,"pulse":{"labels":["x0"],"amps":[[1,2]],"dt_ns":2},"latency_ns":1}}}`)
 	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(mismatched))
-	if _, err := LoadSnapshot(write("key-mismatch", append(hdr, mismatched...))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadSnapshotFingerprint(write("key-mismatch", append(hdr, mismatched...))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("key-mismatch: err = %v, want ErrCorrupt", err)
 	}
 	// Missing file surfaces the os error, not ErrCorrupt.
-	if _, err := LoadSnapshot(filepath.Join(dir, "nope.snap")); !os.IsNotExist(err) {
+	if _, _, err := LoadSnapshotFingerprint(filepath.Join(dir, "nope.snap")); !os.IsNotExist(err) {
 		t.Errorf("missing file: err = %v, want IsNotExist", err)
 	}
 }
@@ -421,12 +421,12 @@ func TestSaveSnapshotAtomic(t *testing.T) {
 	s := New(Options{})
 	s.Put(synthEntry(0))
 	path := filepath.Join(t.TempDir(), "lib.snap")
-	if err := s.SaveSnapshot(path, FormatGob); err != nil {
+	if err := s.SaveSnapshotFingerprint(path, FormatGob, ""); err != nil {
 		t.Fatal(err)
 	}
 	// A second save over the same path must succeed and leave no temp files.
 	s.Put(synthEntry(1))
-	if err := s.SaveSnapshot(path, FormatGob); err != nil {
+	if err := s.SaveSnapshotFingerprint(path, FormatGob, ""); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -436,7 +436,7 @@ func TestSaveSnapshotAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d files, want only the snapshot", len(entries))
 	}
-	lib, err := LoadSnapshot(path)
+	lib, _, err := LoadSnapshotFingerprint(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSnapshotHitsRoundTrip pins the hit-count persistence path: hits
-// accumulated in a store survive SaveSnapshot → LoadInto into a fresh
+// accumulated in a store survive SaveSnapshotFingerprint → LoadIntoChecked into a fresh
 // store, so KeysByHits ordering (and the usage ledger's carried counts)
 // are restored after a restart.
 func TestSnapshotHitsRoundTrip(t *testing.T) {
@@ -25,12 +25,12 @@ func TestSnapshotHitsRoundTrip(t *testing.T) {
 	wantHits := s.HitCounts()
 
 	path := filepath.Join(t.TempDir(), "lib.snap")
-	if err := s.SaveSnapshot(path, FormatGob); err != nil {
+	if err := s.SaveSnapshotFingerprint(path, FormatGob, ""); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 
 	// The on-disk entries must carry the live counters.
-	lib, err := LoadSnapshot(path)
+	lib, _, err := LoadSnapshotFingerprint(path)
 	if err != nil {
 		t.Fatalf("load library: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestSnapshotHitsRoundTrip(t *testing.T) {
 
 	// A fresh store restores the counters and the derived ordering.
 	fresh := New(Options{Capacity: 64})
-	if n, err := fresh.LoadInto(path); err != nil || n != 4 {
+	if n, _, err := fresh.LoadIntoChecked(path, "", false); err != nil || n != 4 {
 		t.Fatalf("load into: n=%d err=%v", n, err)
 	}
 	if got := fresh.HitCounts(); !reflect.DeepEqual(got, wantHits) {
@@ -72,12 +72,12 @@ func TestSnapshotLegacyNoHits(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "legacy.snap")
 	// Snapshot() deliberately omits counters — the legacy encoding.
-	if err := SaveLibrary(s.Snapshot(), path, FormatJSON); err != nil {
+	if err := SaveLibraryFingerprint(s.Snapshot(), path, FormatJSON, ""); err != nil {
 		t.Fatalf("save legacy: %v", err)
 	}
 
 	fresh := New(Options{Capacity: 64})
-	if n, err := fresh.LoadInto(path); err != nil || n != 3 {
+	if n, _, err := fresh.LoadIntoChecked(path, "", false); err != nil || n != 3 {
 		t.Fatalf("load legacy: n=%d err=%v", n, err)
 	}
 	for k, v := range fresh.HitCounts() {

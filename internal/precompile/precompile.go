@@ -8,9 +8,7 @@
 package precompile
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"accqoc/internal/cmat"
@@ -291,26 +289,4 @@ func OptimizeMostFrequent(lib *Library, cfg Config) (*Entry, float64, error) {
 	target.LatencyNs = res.Duration
 	target.Infidelity = res.Infidelity
 	return target, gain, nil
-}
-
-// Save writes the library as JSON.
-func (l *Library) Save(path string) error {
-	data, err := json.MarshalIndent(l, "", " ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// Load reads a library written by Save.
-func Load(path string) (*Library, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLibrary()
-	if err := json.Unmarshal(data, l); err != nil {
-		return nil, fmt.Errorf("precompile: corrupt library %s: %w", path, err)
-	}
-	return l, nil
 }

@@ -1,8 +1,6 @@
 package precompile
 
 import (
-	"math"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -167,43 +165,6 @@ func TestPulseForSwappedOrientation(t *testing.T) {
 	inf := grape.VerifyPulse(sys, p, uRev)
 	if inf > 5e-3 {
 		t.Fatalf("channel-swapped pulse infidelity %v against reversed CX", inf)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains pulses; skipped in -short")
-	}
-	uniq := uniq1q(t, 0.9)
-	lib, _, err := Build(uniq, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "lib.json")
-	if err := lib.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Entries) != len(lib.Entries) {
-		t.Fatal("entry count changed across save/load")
-	}
-	for k, e := range lib.Entries {
-		b, ok := back.Entries[k]
-		if !ok {
-			t.Fatalf("entry %s missing after load", k)
-		}
-		if math.Abs(b.LatencyNs-e.LatencyNs) > 1e-9 || b.Pulse.Segments() != e.Pulse.Segments() {
-			t.Fatal("entry corrupted across save/load")
-		}
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

@@ -175,7 +175,7 @@ func TestUsageSnapshotCycle(t *testing.T) {
 	oracleHits := first.Store().HitCounts()
 	oracleEntries := first.Store().Snapshot().Entries
 	path := filepath.Join(t.TempDir(), "lib.snap")
-	if err := first.Store().SaveSnapshot(path, libstore.FormatGob); err != nil {
+	if err := first.Store().SaveSnapshotFingerprint(path, libstore.FormatGob, ""); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 

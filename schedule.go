@@ -1,117 +1,206 @@
 package accqoc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"accqoc/internal/circuit"
+	"accqoc/internal/crosstalk"
+	"accqoc/internal/gatepulse"
+	"accqoc/internal/grouping"
 	"accqoc/internal/latency"
 	"accqoc/internal/precompile"
 	"accqoc/internal/pulse"
 	"accqoc/internal/topology"
 )
 
-// ScheduledPulse is one group's pulse placed on the program timeline.
+// This file is the back end every path runs once a plan's groups are
+// resolved (Compile, BuildSchedule, CompileBruteForce and the serving
+// tier): one pricing pass with one Algorithm 3 run over the plan, the
+// slot list for callers that emit a schedule, and the estimates against
+// the gate-based baseline.
+
+// timeline is a resolved plan laid out by Algorithm 3.
+type timeline struct {
+	plan *GroupPlan
+	// entries[i] is occurrence i's library entry, nil when it is
+	// uncovered and priced gate-based.
+	entries []*precompile.Entry
+	// durations[i] is occurrence i's price and starts[i] its ASAP start.
+	durations, starts []float64
+	makespan          float64
+}
+
+// lay is the back end's one pricing pass: occurrence i costs its entry's
+// latency, or gateFallbackNs when entries holds no entry (or a nil one)
+// for its key. Algorithm 3 then places every occurrence once.
+func (p *GroupPlan) lay(entries map[string]*precompile.Entry, cal topology.Calibration) (*timeline, error) {
+	gr := p.Grouping
+	n := len(gr.Groups)
+	if len(p.Keys) != n || len(p.Swapped) != n {
+		return nil, fmt.Errorf("accqoc: schedule needs %d occurrence keys, have %d keys / %d flags",
+			n, len(p.Keys), len(p.Swapped))
+	}
+	t := &timeline{plan: p, entries: make([]*precompile.Entry, n), durations: make([]float64, n)}
+	for i, key := range p.Keys {
+		if e := entries[key]; e != nil {
+			t.entries[i], t.durations[i] = e, e.LatencyNs
+		} else {
+			t.durations[i] = gateFallbackNs(gr.Groups[i], cal)
+		}
+	}
+	var err error
+	if t.starts, t.makespan, err = latency.Schedule(gr, t.durations); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// gateFallbackNs prices an untrained group as the sum of its member
+// gates' calibrated pulse latencies, so every path agrees on an uncovered
+// group's duration.
+func gateFallbackNs(g *grouping.Group, cal topology.Calibration) float64 {
+	var sum float64
+	for _, inst := range g.Gates {
+		sum += gatepulse.GateLatency(inst.Name, cal)
+	}
+	return sum
+}
+
+// Makespan prices a resolved plan against entries and returns its
+// overall latency under Algorithm 3 — the back end for callers that need
+// no slot list.
+func (p *GroupPlan) Makespan(entries map[string]*precompile.Entry, cal topology.Calibration) (float64, error) {
+	t, err := p.lay(entries, cal)
+	if err != nil {
+		return 0, err
+	}
+	return t.makespan, nil
+}
+
+// Estimates set a program's QOC latency against the gate-based baseline.
+type Estimates struct {
+	// OverallLatencyNs is the QOC latency (Algorithm 3's makespan);
+	// GateBasedLatencyNs the gate-based compilation baseline's (§II-C).
+	OverallLatencyNs   float64
+	GateBasedLatencyNs float64
+	LatencyReduction   float64 // gate-based / QOC
+	// EstimatedFidelity folds gate errors, crosstalk inflation and
+	// decoherence over the QOC latency (§II-E accounting).
+	EstimatedFidelity float64
+}
+
+// Estimate prices the physical program gate-based and folds its fidelity
+// over a QOC latency of overallNs.
+func Estimate(phys *circuit.Circuit, dev *topology.Device, overallNs float64) Estimates {
+	est := Estimates{
+		OverallLatencyNs:   overallNs,
+		GateBasedLatencyNs: gatepulse.Overall(phys, dev.Calibration),
+	}
+	if overallNs > 0 {
+		est.LatencyReduction = est.GateBasedLatencyNs / overallNs
+	}
+	est.EstimatedFidelity = crosstalk.ProgramFidelity(phys, dev, overallNs)
+	return est
+}
+
+// ScheduledPulse is one group occurrence placed on the program timeline.
 type ScheduledPulse struct {
 	// Group indexes into Schedule.Result.Grouping.Groups.
 	Group int
-	// Qubits are the physical qubits the pulse drives.
+	// Qubits are the physical qubits the pulse drives: the group's own
+	// qubit list, shared with the grouping (read-only).
 	Qubits []int
 	// StartNs is the ASAP start time from Algorithm 3.
 	StartNs float64
-	// Pulse is the channel-correct waveform (qubit-permuted when the
-	// library's canonical orientation is mirrored). Nil for groups that
-	// failed to train and fall back to gate-based execution.
-	Pulse *pulse.Pulse
 	// DurationNs is the group's latency (pulse duration, or the
 	// gate-based fallback price).
 	DurationNs float64
+	// Entry is the library entry whose pulse drives this slot, in its
+	// canonical orientation; nil for a group that failed to train and
+	// falls back to gate-based execution.
+	Entry *precompile.Entry
 	// Key is the library reference of the waveform driving this slot (the
 	// group's canonical key); empty for gate-based fallback slots.
 	Key string
 	// Mirrored marks occurrences whose qubit order is the mirror of the
-	// library pulse's canonical orientation. Pulse already has its
-	// per-qubit channels exchanged accordingly.
+	// library pulse's canonical orientation: the drive channels exchange
+	// on replay.
 	Mirrored bool
+}
+
+// Pulse returns the slot's channel-correct waveform: a copy of the
+// entry's canonical pulse, with the per-qubit channels exchanged when the
+// slot is mirrored. Nil for gate-based fallback slots. Each call makes a
+// fresh copy; the schedule itself never orients a pulse.
+func (sp ScheduledPulse) Pulse() *pulse.Pulse {
+	if sp.Entry == nil {
+		return nil
+	}
+	return precompile.OrientPulse(sp.Entry.Pulse, sp.Mirrored)
 }
 
 // Schedule holds a fully scheduled program.
 type Schedule struct {
 	Result *CompileResult
+	// Pulses lists every group's slot ordered by start time, then group.
 	Pulses []ScheduledPulse
-	// MakespanNs equals Result.OverallLatencyNs.
+	// MakespanNs is the program's overall latency, the end of the last
+	// slot.
 	MakespanNs float64
 }
 
 // BuildSchedule compiles a program and lays its group pulses out on the
 // timeline: each group starts when its DAG predecessors finish. This is
 // the artifact a control stack would hand to the waveform generators.
-// Scheduling reuses the per-occurrence keys resolved during compilation —
-// it is pure library lookup, with no unitary recomputation.
+// The slots come from the timeline Compile priced the program on — pure
+// library lookup, with no unitary recomputation and no second Algorithm 3
+// pass.
 func (c *Compiler) BuildSchedule(prog *circuit.Circuit) (*Schedule, error) {
-	res, err := c.Compile(prog)
+	res, tl, err := c.compile(prog)
 	if err != nil {
 		return nil, err
 	}
-	return AssembleSchedule(res, c.opts.Device.Calibration, func(key string) (*precompile.Entry, bool) {
-		e, ok := c.lib.Entries[key]
-		return e, ok
-	})
+	return tl.schedule(res), nil
 }
 
 // AssembleSchedule lays a resolved compilation out on the timeline — the
-// shared back end of BuildSchedule and the server's circuit endpoint. res
-// must carry the per-occurrence Keys and Swapped flags recorded by the
-// key pass; lookup resolves a canonical key to its trained entry (a miss
-// prices the group gate-based, consistent with Compile). Scheduling is
-// lookup-only: no group unitary is rebuilt and no orientation search is
-// repeated.
-func AssembleSchedule(res *CompileResult, cal topology.Calibration, lookup func(key string) (*precompile.Entry, bool)) (*Schedule, error) {
-	gr := res.Grouping
-	if len(res.Keys) != len(gr.Groups) || len(res.Swapped) != len(gr.Groups) {
-		return nil, fmt.Errorf("accqoc: schedule needs %d occurrence keys, have %d keys / %d flags",
-			len(gr.Groups), len(res.Keys), len(res.Swapped))
-	}
-	durations := make([]float64, len(gr.Groups))
-	pulses := make([]*pulse.Pulse, len(gr.Groups))
-	for i := range gr.Groups {
-		if e, ok := lookup(res.Keys[i]); ok && e != nil {
-			pulses[i] = precompile.OrientPulse(e.Pulse, res.Swapped[i])
-			durations[i] = e.LatencyNs
-			continue
-		}
-		// Gate-based fallback pricing, consistent with Compile.
-		durations[i] = GateFallbackNs(gr.Groups[i], cal)
-	}
-	starts, overall, err := latency.Schedule(gr, func(i int) (float64, error) {
-		return durations[i], nil
-	})
+// server's circuit endpoint runs it over the entries its request
+// resolved. res must carry the per-occurrence Keys and Swapped flags
+// recorded by the key pass; a key entries does not cover prices the group
+// gate-based, consistent with Compile. Scheduling is lookup-only: no
+// group unitary is rebuilt, no orientation search is repeated and no
+// pulse is copied.
+func AssembleSchedule(res *CompileResult, entries map[string]*precompile.Entry, cal topology.Calibration) (*Schedule, error) {
+	t, err := res.lay(entries, cal)
 	if err != nil {
 		return nil, err
 	}
-	sched := &Schedule{Result: res, MakespanNs: overall}
-	for i := range gr.Groups {
-		sp := ScheduledPulse{
-			Group:      i,
-			Qubits:     append([]int(nil), gr.Groups[i].Qubits...),
-			StartNs:    starts[i],
-			Pulse:      pulses[i],
-			DurationNs: durations[i],
+	return t.schedule(res), nil
+}
+
+// schedule lists the timeline's slots ordered by start time, then group.
+// A slot names its entry, key and orientation only when the entry has a
+// pulse to drive.
+func (t *timeline) schedule(res *CompileResult) *Schedule {
+	groups := t.plan.Grouping.Groups
+	slots := make([]ScheduledPulse, len(groups))
+	for i, g := range groups {
+		slots[i] = ScheduledPulse{Group: i, Qubits: g.Qubits, StartNs: t.starts[i], DurationNs: t.durations[i]}
+		if e := t.entries[i]; e != nil && e.Pulse != nil {
+			slots[i].Entry, slots[i].Key, slots[i].Mirrored = e, t.plan.Keys[i], t.plan.Swapped[i]
 		}
-		if pulses[i] != nil {
-			sp.Key = res.Keys[i]
-			sp.Mirrored = res.Swapped[i]
-		}
-		sched.Pulses = append(sched.Pulses, sp)
 	}
-	sort.Slice(sched.Pulses, func(a, b int) bool {
-		if sched.Pulses[a].StartNs != sched.Pulses[b].StartNs {
-			return sched.Pulses[a].StartNs < sched.Pulses[b].StartNs
+	slices.SortFunc(slots, func(a, b ScheduledPulse) int {
+		if c := cmp.Compare(a.StartNs, b.StartNs); c != 0 {
+			return c
 		}
-		return sched.Pulses[a].Group < sched.Pulses[b].Group
+		return a.Group - b.Group
 	})
-	return sched, nil
+	return &Schedule{Result: res, Pulses: slots, MakespanNs: t.makespan}
 }
 
 // Validate checks the schedule's structural invariants: no overlapping

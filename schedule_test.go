@@ -39,12 +39,13 @@ func TestBuildScheduleValidates(t *testing.T) {
 	}
 	// All trained groups carry a waveform.
 	for _, sp := range sched.Pulses {
-		if sp.Pulse == nil {
+		p := sp.Pulse()
+		if p == nil {
 			continue
 		}
-		if sp.Pulse.Duration() != sp.DurationNs {
+		if p.Duration() != sp.DurationNs {
 			t.Fatalf("pulse duration %v disagrees with slot %v",
-				sp.Pulse.Duration(), sp.DurationNs)
+				p.Duration(), sp.DurationNs)
 		}
 	}
 }
@@ -78,7 +79,7 @@ func handSchedule(t *testing.T) *Schedule {
 		t.Fatalf("grouping: %d groups, err %v", len(gr.Groups), err)
 	}
 	s := &Schedule{
-		Result:     &CompileResult{Prepared: Prepared{Grouping: gr}},
+		Result:     &CompileResult{GroupPlan: &GroupPlan{Prepared: &Prepared{Grouping: gr}}},
 		MakespanNs: 100,
 	}
 	for i := range gr.Groups {
@@ -129,7 +130,7 @@ func TestAssembleScheduleLookupOnly(t *testing.T) {
 		t.Fatalf("plan has %d keys for %d groups", len(plan.Keys), len(plan.Prepared.Grouping.Groups))
 	}
 
-	res := plan.Result()
+	res := &CompileResult{GroupPlan: plan}
 	lib := precompile.NewLibrary()
 	sentinel := &precompile.Entry{
 		Key:       "sentinel",
@@ -141,11 +142,7 @@ func TestAssembleScheduleLookupOnly(t *testing.T) {
 	for i := range res.Keys {
 		res.Keys[i] = "sentinel"
 	}
-	sched, err := AssembleSchedule(res, comp.Options().Device.Calibration,
-		func(key string) (*precompile.Entry, bool) {
-			e, ok := lib.Entries[key]
-			return e, ok
-		})
+	sched, err := AssembleSchedule(res, lib.Entries, comp.Options().Device.Calibration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +166,7 @@ func TestAssembleScheduleMirrored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := plan.Result()
+	res := &CompileResult{GroupPlan: plan}
 	// Force the mirrored orientation for every occurrence.
 	for i := range res.Swapped {
 		res.Swapped[i] = true
@@ -180,11 +177,7 @@ func TestAssembleScheduleMirrored(t *testing.T) {
 	for _, key := range res.Keys {
 		lib.Entries[key] = &precompile.Entry{Key: key, NumQubits: 2, Pulse: p, LatencyNs: 2}
 	}
-	sched, err := AssembleSchedule(res, comp.Options().Device.Calibration,
-		func(key string) (*precompile.Entry, bool) {
-			e, ok := lib.Entries[key]
-			return e, ok
-		})
+	sched, err := AssembleSchedule(res, lib.Entries, comp.Options().Device.Calibration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +185,12 @@ func TestAssembleScheduleMirrored(t *testing.T) {
 	if !sp.Mirrored {
 		t.Fatal("mirrored occurrence not flagged")
 	}
-	if sp.Pulse.Amps[0][0] != 3 || sp.Pulse.Amps[2][0] != 1 {
-		t.Fatalf("channels not exchanged: %v", sp.Pulse.Amps)
+	if sp.Entry.Pulse != p {
+		t.Fatal("the slot does not carry the library entry")
+	}
+	oriented := sp.Pulse()
+	if oriented.Amps[0][0] != 3 || oriented.Amps[2][0] != 1 {
+		t.Fatalf("channels not exchanged: %v", oriented.Amps)
 	}
 	// The library's canonical pulse is untouched.
 	if p.Amps[0][0] != 1 {
@@ -215,7 +212,7 @@ func TestBuildScheduleKeysMatchCompile(t *testing.T) {
 	}
 	res := sched.Result
 	for _, sp := range sched.Pulses {
-		if sp.Pulse == nil {
+		if sp.Entry == nil {
 			continue
 		}
 		if sp.Key != res.Keys[sp.Group] {

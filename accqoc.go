@@ -106,6 +106,9 @@ func (c *Compiler) Options() Options { return c.opts }
 type Prepared struct {
 	// Physical is the mapped, policy-lowered circuit on device qubits.
 	Physical *circuit.Circuit
+	// DAG is Physical's dependency DAG, built once and read by grouping,
+	// the crosstalk metric and Estimate.
+	DAG *circuit.DAG
 	// MapResult carries layouts and swap statistics.
 	MapResult *mapping.Result
 	// Grouping is the policy division of Physical with its group DAG.
@@ -129,15 +132,17 @@ func (c *Compiler) Prepare(prog *circuit.Circuit) (*Prepared, error) {
 			return nil, fmt.Errorf("accqoc: swap lowering: %w", err)
 		}
 	}
-	gr, err := grouping.Divide(phys, c.opts.Policy)
+	dag := circuit.BuildDAG(phys)
+	gr, err := grouping.DivideDAG(dag, c.opts.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("accqoc: %w", err)
 	}
 	return &Prepared{
 		Physical:        phys,
+		DAG:             dag,
 		MapResult:       mapped,
 		Grouping:        gr,
-		CrosstalkMetric: crosstalk.Metric(phys, c.opts.Device),
+		CrosstalkMetric: crosstalk.MetricDAG(dag, c.opts.Device),
 	}, nil
 }
 
@@ -184,10 +189,10 @@ func (c *Compiler) ProfileParallel(programs []*circuit.Circuit, workers int) (*P
 
 // GroupPlan is the pre-resolution view of one program: the prepared
 // circuit plus each group occurrence's canonical library key and
-// orientation, computed in a single pass (every group unitary is built
-// exactly once). Both the batch Compile path and the serving path resolve
-// a plan against their respective libraries; scheduling afterwards is
-// lookup-only.
+// orientation, computed in one grouping.CanonicalKeys pass (one unitary
+// per distinct group content). Both the batch Compile path and the
+// serving path resolve a plan against their respective libraries;
+// scheduling afterwards is lookup-only.
 type GroupPlan struct {
 	*Prepared
 	// Keys[i] is the canonical library key of occurrence i; Swapped[i]
@@ -213,21 +218,12 @@ func (c *Compiler) PlanGroups(prog *circuit.Circuit) (*GroupPlan, error) {
 // planPrepared runs the canonical-key pass over a prepared program's
 // groups.
 func planPrepared(prep *Prepared) (*GroupPlan, error) {
-	gr := prep.Grouping
-	plan := &GroupPlan{
-		Prepared: prep,
-		Keys:     make([]string, len(gr.Groups)),
-		Swapped:  make([]bool, len(gr.Groups)),
+	groups := prep.Grouping.Groups
+	keys, swapped, err := grouping.CanonicalKeys(groups)
+	if err != nil {
+		return nil, err
 	}
-	for i, g := range gr.Groups {
-		u, uerr := g.Unitary()
-		if uerr != nil {
-			return nil, uerr
-		}
-		plan.Keys[i], plan.Swapped[i] = grouping.CanonicalOrientation(u)
-	}
-	plan.Unique = grouping.DeduplicateKeyed(gr.Groups, plan.Keys)
-	return plan, nil
+	return &GroupPlan{Prepared: prep, Keys: keys, Swapped: swapped, Unique: grouping.DeduplicateKeyed(groups, keys)}, nil
 }
 
 // CompileResult reports one program's accelerated dynamic compilation:
@@ -311,7 +307,7 @@ func (c *Compiler) compile(prog *circuit.Circuit) (*CompileResult, *timeline, er
 	if err != nil {
 		return nil, nil, err
 	}
-	res.Estimates = Estimate(plan.Physical, c.opts.Device, tl.makespan)
+	res.Estimates = Estimate(plan.DAG, c.opts.Device, tl.makespan)
 	return res, tl, nil
 }
 

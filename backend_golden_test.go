@@ -57,7 +57,7 @@ func resolvedTail(tb testing.TB, plan *GroupPlan, lib map[string]*precompile.Ent
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sched, makespan, Estimate(plan.Physical, dev, makespan)
+	return sched, makespan, Estimate(plan.DAG, dev, makespan)
 }
 
 // TestGoldenBackEnd pins the back end over a resolved plan bit for bit:

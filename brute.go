@@ -59,7 +59,7 @@ func (c *Compiler) CompileBruteForce(prog *circuit.Circuit, bopts BruteForceOpti
 		MaxLayers: bopts.MaxLayers,
 	}
 	brute := *prep
-	if brute.Grouping, err = grouping.Divide(prep.Physical, pol); err != nil {
+	if brute.Grouping, err = grouping.DivideDAG(prep.DAG, pol); err != nil {
 		return nil, err
 	}
 	plan, err := planPrepared(&brute)
@@ -90,6 +90,6 @@ func (c *Compiler) CompileBruteForce(prog *circuit.Circuit, bopts BruteForceOpti
 	if err != nil {
 		return nil, err
 	}
-	res.Estimates = Estimate(prep.Physical, c.opts.Device, overall)
+	res.Estimates = Estimate(prep.DAG, c.opts.Device, overall)
 	return res, nil
 }

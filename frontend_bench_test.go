@@ -139,7 +139,7 @@ func BenchmarkResolvedTail(b *testing.B) {
 			if err := sched.Validate(); err != nil {
 				b.Fatal(err)
 			}
-			est := Estimate(plan.Physical, dev, sched.MakespanNs)
+			est := Estimate(plan.DAG, dev, sched.MakespanNs)
 			frontEndSink += len(sched.Pulses) + int(est.LatencyReduction) + int(1e6*est.EstimatedFidelity)
 		}
 	}

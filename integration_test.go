@@ -17,6 +17,7 @@ import (
 	"accqoc/internal/grouping"
 	"accqoc/internal/hamiltonian"
 	"accqoc/internal/latency"
+	"accqoc/internal/precompile"
 	"accqoc/internal/qasm"
 	"accqoc/internal/topology"
 	"accqoc/internal/workload"
@@ -39,11 +40,7 @@ func TestPipelinePulsesImplementTheirGroups(t *testing.T) {
 	}
 	checked := 0
 	for i, g := range res.Grouping.Groups {
-		key, err := g.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, ok := comp.Library().Entries[key]
+		e, ok := comp.Library().Entries[res.Keys[i]]
 		if !ok {
 			continue // failed-to-train groups are priced gate-based
 		}
@@ -55,10 +52,7 @@ func TestPipelinePulsesImplementTheirGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, ok := comp.Library().PulseFor(u)
-		if !ok {
-			t.Fatalf("group %d: key covered but PulseFor missed", i)
-		}
+		p := precompile.OrientPulse(e.Pulse, res.Swapped[i])
 		if inf := grape.VerifyPulse(sys, p, u); inf > 5e-2 {
 			t.Errorf("group %d pulse infidelity %v against its own unitary", i, inf)
 		}

@@ -34,7 +34,7 @@ func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, ent
 	vsp.End()
 
 	esp := tr.StartSpan("estimate")
-	finalizeResponse(resp, plan.Physical, dev, sched.MakespanNs, c.begin)
+	finalizeResponse(resp, plan.DAG, dev, sched.MakespanNs, c.begin)
 	esp.End()
 
 	out := &CircuitResponse{
@@ -42,9 +42,6 @@ func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, ent
 		MakespanNs: sched.MakespanNs,
 		Schedule:   make([]ScheduledPulseWire, 0, len(sched.Pulses)),
 	}
-	// refs dedups the hash work: one MarshalBinary+SHA-256 per unique
-	// entry, however many occurrences reference it.
-	refs := make(map[*precompile.Entry]string, len(entries))
 	for _, sp := range sched.Pulses {
 		slot := ScheduledPulseWire{
 			Group:      sp.Group,
@@ -54,17 +51,12 @@ func assembleCircuit(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, ent
 			Mirrored:   sp.Mirrored,
 		}
 		if sp.Entry != nil {
-			ref, cached := refs[sp.Entry]
-			if !cached {
-				ref = WaveformRef(sp.Entry)
-				refs[sp.Entry] = ref
-			}
-			slot.Waveform = ref
+			slot.Waveform = WaveformRef(sp.Entry)
 			if c.req.Waveforms {
 				if out.Waveforms == nil {
 					out.Waveforms = map[string]*pulse.Pulse{}
 				}
-				out.Waveforms[ref] = sp.Entry.Pulse
+				out.Waveforms[slot.Waveform] = sp.Entry.Pulse
 			}
 		}
 		out.Schedule = append(out.Schedule, slot)

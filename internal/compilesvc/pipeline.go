@@ -118,7 +118,7 @@ func finish(c *call, plan *accqoc.GroupPlan, resp *CompileResponse, entries map[
 	if err != nil {
 		return nil, err
 	}
-	finalizeResponse(resp, plan.Physical, dev, overall, c.begin)
+	finalizeResponse(resp, plan.DAG, dev, overall, c.begin)
 	sp.End()
 	return &Result{Resp: resp}, nil
 }

@@ -1,8 +1,6 @@
 package compilesvc
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"time"
 
 	"accqoc"
@@ -130,22 +128,15 @@ type CircuitResponse struct {
 // not the group key — so a retrained pulse (a new calibration epoch, a
 // different device's physics) gets a new ref and a client-side waveform
 // cache can never replay a stale wrong-calibration pulse; identical
-// waveforms share a ref across requests.
-func WaveformRef(e *precompile.Entry) string {
-	data, err := e.Pulse.MarshalBinary()
-	if err != nil {
-		// Unreachable for trained entries (pulses validate on decode);
-		// degrade to the key digest rather than dropping the ref.
-		data = []byte(e.Key)
-	}
-	h := sha256.Sum256(data)
-	return "wf:" + hex.EncodeToString(h[:12])
-}
+// waveforms share a ref across requests. Trained and snapshot-loaded
+// entries carry it precomputed (precompile.Entry.Seal), so serving one
+// neither encodes nor hashes its pulse.
+func WaveformRef(e *precompile.Entry) string { return e.WaveformRef() }
 
 // finalizeResponse fills the tail shared by the per-group and circuit
 // responses: the coverage rate, mean seed distance and warm_served from
 // the resolved counters, then the latency/fidelity estimates.
-func finalizeResponse(resp *CompileResponse, phys *circuit.Circuit, dev *topology.Device, overall float64, begin time.Time) {
+func finalizeResponse(resp *CompileResponse, dag *circuit.DAG, dev *topology.Device, overall float64, begin time.Time) {
 	if resp.WarmSeeded > 0 {
 		resp.SeedDistance = resp.seedDistanceSum / float64(resp.WarmSeeded)
 	}
@@ -155,7 +146,7 @@ func finalizeResponse(resp *CompileResponse, phys *circuit.Circuit, dev *topolog
 		resp.CoverageRate = 1
 	}
 	resp.WarmServed = resp.UncoveredUnique == 0
-	est := accqoc.Estimate(phys, dev, overall)
+	est := accqoc.Estimate(dag, dev, overall)
 	resp.QOCLatencyNs, resp.GateLatencyNs = est.OverallLatencyNs, est.GateBasedLatencyNs
 	resp.LatencyReduction, resp.EstimatedFidelity = est.LatencyReduction, est.EstimatedFidelity
 	resp.CompileMillis = float64(time.Since(begin)) / float64(time.Millisecond)

@@ -29,7 +29,12 @@ const InflationFactor = 1.20
 // Gates on physical qubits: the circuit must already be mapped to the
 // device. Single-qubit gates are ignored.
 func Metric(c *circuit.Circuit, dev *topology.Device) int {
-	dag := circuit.BuildDAG(c)
+	return MetricDAG(circuit.BuildDAG(c), dev)
+}
+
+// MetricDAG is Metric over a circuit's already-built dependency DAG.
+func MetricDAG(dag *circuit.DAG, dev *topology.Device) int {
+	c := dag.Circuit
 	total := 0
 	var edges []topology.Edge
 	for _, layer := range dag.Layers() {
@@ -145,9 +150,15 @@ func Figure5(dev *topology.Device, pairs int) []FigureRow {
 //
 // latencyNs is the program's overall latency (from the latency package).
 func ProgramFidelity(c *circuit.Circuit, dev *topology.Device, latencyNs float64) float64 {
+	return ProgramFidelityDAG(circuit.BuildDAG(c), dev, latencyNs)
+}
+
+// ProgramFidelityDAG is ProgramFidelity over a circuit's already-built
+// dependency DAG.
+func ProgramFidelityDAG(dag *circuit.DAG, dev *topology.Device, latencyNs float64) float64 {
+	c := dag.Circuit
 	cal := dev.Calibration
 	m := NewPairErrorModel(dev)
-	dag := circuit.BuildDAG(c)
 	// base memoises BaselineError per undirected coupling for this call: a
 	// mapped program runs hundreds of CX gates on a few dozen couplings,
 	// and each BaselineError seeds a fresh RNG.

@@ -46,8 +46,14 @@ func GateLatency(name gate.Name, cal topology.Calibration) float64 {
 // pulses concatenated along the dependency critical path (Algorithm 3 on
 // the gate DAG).
 func Overall(c *circuit.Circuit, cal topology.Calibration) float64 {
-	return latency.OverallGates(c, func(g int) float64 {
-		return GateLatency(c.Gates[g].Name, cal)
+	return OverallDAG(circuit.BuildDAG(c), cal)
+}
+
+// OverallDAG is Overall over a circuit's already-built dependency DAG.
+func OverallDAG(dag *circuit.DAG, cal topology.Calibration) float64 {
+	gates := dag.Circuit.Gates
+	return latency.OverallGates(dag, func(g int) float64 {
+		return GateLatency(gates[g].Name, cal)
 	})
 }
 

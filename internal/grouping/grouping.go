@@ -12,7 +12,9 @@ package grouping
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"slices"
 	"sort"
@@ -141,6 +143,75 @@ func (g *Group) Key() (string, error) {
 	return MatrixKey(u), nil
 }
 
+// CanonicalKeys is the one canonical-key pass over group occurrences: it
+// returns every occurrence's key and orientation flag, exactly
+// CanonicalOrientation of its Unitary, but builds the unitary and runs
+// the orientation search only for the first occurrence of each distinct
+// gate content (see appendContent); later occurrences copy its result.
+// It stops at the first occurrence whose unitary cannot be built.
+func CanonicalKeys(groups []*Group) (keys []string, swapped []bool, err error) {
+	return canonicalKeys(groups, (*Group).Unitary)
+}
+
+// canonicalKeys is CanonicalKeys building each unitary with unitary, so
+// that tests can count the builds.
+func canonicalKeys(groups []*Group, unitary func(*Group) (*cmat.Matrix, error)) (keys []string, swapped []bool, err error) {
+	keys = make([]string, len(groups))
+	swapped = make([]bool, len(groups))
+	first := map[string]int{} // gate content → its first occurrence
+	var arr [512]byte
+	for i, g := range groups {
+		content, ok := appendContent(arr[:0], g)
+		if ok {
+			if j, seen := first[string(content)]; seen {
+				keys[i], swapped[i] = keys[j], swapped[j]
+				continue
+			}
+		}
+		u, uerr := unitary(g)
+		if uerr != nil {
+			return nil, nil, uerr
+		}
+		keys[i], swapped[i] = CanonicalOrientation(u)
+		if ok {
+			first[string(content)] = i
+		}
+	}
+	return keys, swapped, nil
+}
+
+// appendContent appends an injective encoding of everything Unitary reads
+// from g: the wire count, then for each gate its name, its local wires in
+// operand order and the bit patterns of its parameters, each list
+// prefixed with its length. Groups of equal content therefore have
+// bit-identical unitaries; rz(0) and rz(-0) differ in content. It reports
+// false, leaving g to Unitary's own checks, when Unitary would refuse the
+// wire count or a gate operand is not a group wire.
+func appendContent(b []byte, g *Group) ([]byte, bool) {
+	n := len(g.Qubits)
+	if n > maxUnitaryQubits {
+		return b, false
+	}
+	b = append(b, byte(n))
+	for _, inst := range g.Gates {
+		b = binary.AppendUvarint(b, uint64(len(inst.Name)))
+		b = append(b, inst.Name...)
+		b = binary.AppendUvarint(b, uint64(len(inst.Qubits)))
+		for _, q := range inst.Qubits {
+			w := slices.Index(g.Qubits, q)
+			if w < 0 {
+				return b, false
+			}
+			b = append(b, byte(w)) // w < n ≤ maxUnitaryQubits
+		}
+		b = binary.AppendUvarint(b, uint64(len(inst.Params)))
+		for _, p := range inst.Params {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
+		}
+	}
+	return b, true
+}
+
 // MatrixKey canonicalizes a unitary under global phase and qubit
 // permutation (for 4×4 matrices) and renders it as a quantized string.
 func MatrixKey(u *cmat.Matrix) string {
@@ -255,10 +326,16 @@ type Grouping struct {
 // mapped (and swaps decomposed when the policy says so — see
 // ApplyPolicy in the pipeline packages).
 func Divide(c *circuit.Circuit, pol Policy) (*Grouping, error) {
+	return DivideDAG(circuit.BuildDAG(c), pol)
+}
+
+// DivideDAG is Divide over a circuit whose dependency DAG the caller has
+// built already and shares with its other passes.
+func DivideDAG(dag *circuit.DAG, pol Policy) (*Grouping, error) {
 	if pol.MaxQubits < 1 || pol.MaxLayers < 1 {
 		return nil, fmt.Errorf("grouping: invalid policy %+v", pol)
 	}
-	dag := circuit.BuildDAG(c)
+	c := dag.Circuit
 	chunks := layerDivide(dag, bitDivide(c, pol.MaxQubits), pol.MaxLayers)
 
 	// The groups, their gate lists and their wire lists each share one
@@ -501,13 +578,9 @@ type UniqueGroup struct {
 // Deduplicate collapses group occurrences by canonical matrix key and
 // counts frequencies, most frequent first (§IV-C, §IV-G).
 func Deduplicate(groups []*Group) ([]*UniqueGroup, error) {
-	keys := make([]string, len(groups))
-	for i, g := range groups {
-		k, err := g.Key()
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
+	keys, _, err := CanonicalKeys(groups)
+	if err != nil {
+		return nil, err
 	}
 	out := DeduplicateKeyed(groups, keys)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
@@ -516,8 +589,8 @@ func Deduplicate(groups []*Group) ([]*UniqueGroup, error) {
 
 // DeduplicateKeyed collapses group occurrences using precomputed canonical
 // keys (keys[i] belongs to groups[i]), preserving first-occurrence order.
-// Callers that already paid for the unitaries (e.g. the serving path) use
-// this to avoid recomputing them.
+// Callers that already hold CanonicalKeys' keys (the plan's key pass) use
+// this to avoid a second pass.
 func DeduplicateKeyed(groups []*Group, keys []string) []*UniqueGroup {
 	byKey := map[string]*UniqueGroup{}
 	var order []string

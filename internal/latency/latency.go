@@ -11,11 +11,11 @@ import (
 	"accqoc/internal/grouping"
 )
 
-// OverallGates runs Schedule's DP over the gate-level DAG with a per-gate
-// latency function — the gate-based compilation baseline (§II-C): pulses
-// concatenate along the dependency critical path.
-func OverallGates(c *circuit.Circuit, gateLatency func(g int) float64) float64 {
-	dag := circuit.BuildDAG(c)
+// OverallGates runs Schedule's DP over a circuit's gate-level DAG with a
+// per-gate latency function — the gate-based compilation baseline
+// (§II-C): pulses concatenate along the dependency critical path.
+func OverallGates(dag *circuit.DAG, gateLatency func(g int) float64) float64 {
+	c := dag.Circuit
 	finish := make([]float64, len(c.Gates))
 	var overall float64
 	for i := range c.Gates { // program order is topological for gate DAGs

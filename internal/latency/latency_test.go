@@ -100,7 +100,7 @@ func TestOverallGatesCriticalPath(t *testing.T) {
 	c.MustAppend(gate.X, []int{1})     // 20
 	c.MustAppend(gate.CX, []int{0, 1}) // 30
 	lat := []float64{10, 20, 30}
-	got := OverallGates(c, func(g int) float64 { return lat[g] })
+	got := OverallGates(circuit.BuildDAG(c), func(g int) float64 { return lat[g] })
 	if got != 50 {
 		t.Fatalf("critical path = %v, want 50", got)
 	}

@@ -190,6 +190,7 @@ func DecodeSnapshotFingerprint(data []byte) (*precompile.Library, string, error)
 		if err := e.Pulse.Validate(); err != nil {
 			return nil, "", fmt.Errorf("%w: entry %q: %v", ErrCorrupt, key, err)
 		}
+		e.Seal()
 	}
 	return lib, fingerprint, nil
 }

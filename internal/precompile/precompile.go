@@ -8,6 +8,8 @@
 package precompile
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -95,6 +97,37 @@ type Entry struct {
 	// the store's live counter is authoritative while the entry is
 	// resident (see libstore.Store.SnapshotWithHits).
 	Hits int64 `json:"hits,omitempty"`
+
+	// wf is the pulse's content address, set by Seal; unexported, so
+	// neither snapshot format stores it.
+	wf string
+}
+
+// Seal records the entry's waveform content address (see WaveformRef).
+// Training and the snapshot decoder seal every entry they build, before
+// it is shared; a sealed entry's pulse must not change afterwards.
+func (e *Entry) Seal() { e.wf = waveformRef(e) }
+
+// WaveformRef is the content address of the entry's pulse: "wf:" and the
+// hex of the first 12 bytes of the SHA-256 of the pulse's binary encoding
+// (of the key, for a pulse that does not encode). A sealed entry returns
+// the address Seal recorded; any other entry hashes its pulse per call.
+func (e *Entry) WaveformRef() string {
+	if e.wf != "" {
+		return e.wf
+	}
+	return waveformRef(e)
+}
+
+func waveformRef(e *Entry) string {
+	data, err := e.Pulse.MarshalBinary()
+	if err != nil {
+		// Unreachable for trained entries (pulses validate on decode);
+		// degrade to the key digest rather than dropping the ref.
+		data = []byte(e.Key)
+	}
+	h := sha256.Sum256(data)
+	return "wf:" + hex.EncodeToString(h[:12])
 }
 
 // Library is a pulse cache keyed by canonical group matrix.
@@ -104,31 +137,6 @@ type Library struct {
 
 // NewLibrary returns an empty library.
 func NewLibrary() *Library { return &Library{Entries: map[string]*Entry{}} }
-
-// Lookup returns the entry for a group, if covered.
-func (l *Library) Lookup(g *grouping.Group) (*Entry, bool, error) {
-	key, err := g.Key()
-	if err != nil {
-		return nil, false, err
-	}
-	e, ok := l.Entries[key]
-	return e, ok, nil
-}
-
-// PulseFor returns the pulse driving the given unitary: the stored
-// canonical pulse, with per-qubit control channels exchanged when the
-// group's orientation is the mirror of the canonical one. Callers that
-// already hold the occurrence's canonical key and orientation flag (the
-// key pass of accqoc.PlanGroups) should look the entry up directly and
-// use OrientPulse — this method pays a fresh orientation search.
-func (l *Library) PulseFor(u *cmat.Matrix) (*pulse.Pulse, bool) {
-	key, swapped := grouping.CanonicalOrientation(u)
-	e, ok := l.Entries[key]
-	if !ok {
-		return nil, false
-	}
-	return OrientPulse(e.Pulse, swapped), true
-}
 
 // OrientPulse returns the channel-correct waveform for one occurrence of
 // a library pulse: a clone, with the per-qubit drive channels exchanged
@@ -239,12 +247,12 @@ func Coverage(gr *grouping.Grouping, lib *Library) (rate float64, covered, total
 	if total == 0 {
 		return 1, 0, 0, nil
 	}
-	for _, g := range gr.Groups {
-		_, ok, kerr := lib.Lookup(g)
-		if kerr != nil {
-			return 0, 0, 0, kerr
-		}
-		if ok {
+	keys, _, err := grouping.CanonicalKeys(gr.Groups)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for _, k := range keys {
+		if _, ok := lib.Entries[k]; ok {
 			covered++
 		}
 	}
@@ -288,5 +296,6 @@ func OptimizeMostFrequent(lib *Library, cfg Config) (*Entry, float64, error) {
 	target.Pulse = res.Pulse
 	target.LatencyNs = res.Duration
 	target.Infidelity = res.Infidelity
+	target.Seal()
 	return target, gain, nil
 }

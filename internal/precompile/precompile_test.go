@@ -150,17 +150,22 @@ func TestPulseForSwappedOrientation(t *testing.T) {
 	}
 
 	rev := &grouping.Group{Qubits: []int{0, 1}, Gates: []gate.Instance{gate.MustInstance(gate.CX, []int{1, 0})}}
-	if _, ok, _ := lib.Lookup(rev); !ok {
+	keys, swapped, err := grouping.CanonicalKeys([]*grouping.Group{gCX, rev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swapped[0] == swapped[1] {
+		t.Fatalf("CX(0,1) and CX(1,0) share the orientation flag %t", swapped[0])
+	}
+	e, ok := lib.Entries[keys[1]]
+	if !ok {
 		t.Fatal("reversed CX not covered despite permutation dedup")
 	}
 	uRev, err := rev.Unitary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := lib.PulseFor(uRev)
-	if !ok {
-		t.Fatal("PulseFor missed")
-	}
+	p := OrientPulse(e.Pulse, swapped[1])
 	sys := hamiltonian.TwoQubit(hamiltonian.Config{})
 	inf := grape.VerifyPulse(sys, p, uRev)
 	if inf > 5e-3 {
@@ -309,8 +314,8 @@ func TestSegmentsForSizes(t *testing.T) {
 	}
 }
 
-// TestOrientPulse covers the extracted channel-orientation helper shared
-// by Library.PulseFor and schedule assembly.
+// TestOrientPulse covers the channel-orientation helper that
+// ScheduledPulse.Pulse applies to a mirrored occurrence.
 func TestOrientPulse(t *testing.T) {
 	p := pulse.New([]string{"x0", "y0", "x1", "y1"}, 2, 1)
 	p.Amps[0][0], p.Amps[1][0], p.Amps[2][0], p.Amps[3][0] = 1, 2, 3, 4

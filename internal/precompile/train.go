@@ -68,7 +68,7 @@ func train(key string, numQubits, frequency int, target *cmat.Matrix, cfg Config
 	if cfg.Observer != nil {
 		cfg.Observer(numQubits, res.TotalIterations, res.Infidelity, seedPulse != nil)
 	}
-	return &Entry{
+	e := &Entry{
 		Key:         key,
 		NumQubits:   numQubits,
 		Pulse:       res.Pulse,
@@ -78,7 +78,9 @@ func train(key string, numQubits, frequency int, target *cmat.Matrix, cfg Config
 		Infidelity:  res.Infidelity,
 		TrainWallNs: float64(wall.Nanoseconds()),
 		Seeded:      seedPulse != nil,
-	}, nil
+	}
+	e.Seal()
+	return e, nil
 }
 
 // Merge copies every entry of other into l, overwriting on key collision.
@@ -107,13 +109,6 @@ func (l *Library) Clone() *Library {
 // share a key iff their unitaries match under the paper's §IV-C
 // equivalence (global phase, and qubit order for two-qubit groups).
 func Keys(gr *grouping.Grouping) ([]string, error) {
-	keys := make([]string, len(gr.Groups))
-	for i, g := range gr.Groups {
-		k, err := g.Key()
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
-	}
-	return keys, nil
+	keys, _, err := grouping.CanonicalKeys(gr.Groups)
+	return keys, err
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/crosstalk"
@@ -93,17 +92,18 @@ type Estimates struct {
 	EstimatedFidelity float64
 }
 
-// Estimate prices the physical program gate-based and folds its fidelity
-// over a QOC latency of overallNs.
-func Estimate(phys *circuit.Circuit, dev *topology.Device, overallNs float64) Estimates {
+// Estimate prices the physical program, given by its dependency DAG
+// (Prepared.DAG), gate-based and folds its fidelity over a QOC latency of
+// overallNs.
+func Estimate(dag *circuit.DAG, dev *topology.Device, overallNs float64) Estimates {
 	est := Estimates{
 		OverallLatencyNs:   overallNs,
-		GateBasedLatencyNs: gatepulse.Overall(phys, dev.Calibration),
+		GateBasedLatencyNs: gatepulse.OverallDAG(dag, dev.Calibration),
 	}
 	if overallNs > 0 {
 		est.LatencyReduction = est.GateBasedLatencyNs / overallNs
 	}
-	est.EstimatedFidelity = crosstalk.ProgramFidelity(phys, dev, overallNs)
+	est.EstimatedFidelity = crosstalk.ProgramFidelityDAG(dag, dev, overallNs)
 	return est
 }
 
@@ -194,13 +194,16 @@ func (t *timeline) schedule(res *CompileResult) *Schedule {
 			slots[i].Entry, slots[i].Key, slots[i].Mirrored = e, t.plan.Keys[i], t.plan.Swapped[i]
 		}
 	}
-	slices.SortFunc(slots, func(a, b ScheduledPulse) int {
-		if c := cmp.Compare(a.StartNs, b.StartNs); c != 0 {
-			return c
-		}
-		return a.Group - b.Group
-	})
+	slices.SortFunc(slots, slotOrder)
 	return &Schedule{Result: res, Pulses: slots, MakespanNs: t.makespan}
+}
+
+// slotOrder orders slots by start time, then group.
+func slotOrder(a, b ScheduledPulse) int {
+	if c := cmp.Compare(a.StartNs, b.StartNs); c != 0 {
+		return c
+	}
+	return a.Group - b.Group
 }
 
 // Validate checks the schedule's structural invariants: no overlapping
@@ -220,20 +223,33 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	// Per-qubit exclusivity.
-	type span struct{ s, e float64 }
-	byQubit := map[int][]span{}
-	for _, sp := range s.Pulses {
+	// Per-qubit exclusivity: in slot order (the order schedule emits;
+	// a hand-built list is sorted into it) each slot must start no
+	// earlier than the previous slot on each of its qubits ended.
+	slots := s.Pulses
+	if !slices.IsSortedFunc(slots, slotOrder) {
+		slots = slices.Clone(slots)
+		slices.SortFunc(slots, slotOrder)
+	}
+	lo, hi := 0, -1 // the slots' qubit range, empty while hi < lo
+	for _, sp := range slots {
 		for _, q := range sp.Qubits {
-			byQubit[q] = append(byQubit[q], span{sp.StartNs, sp.StartNs + sp.DurationNs})
+			if hi < lo {
+				lo, hi = q, q
+			}
+			lo, hi = min(lo, q), max(hi, q)
 		}
 	}
-	for q, spans := range byQubit {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].s < spans[j].s })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].s < spans[i-1].e-1e-9 {
+	last := make([]float64, hi-lo+1) // previous slot end per qubit
+	for i := range last {
+		last[i] = math.Inf(-1)
+	}
+	for _, sp := range slots {
+		for _, q := range sp.Qubits {
+			if sp.StartNs < last[q-lo]-1e-9 {
 				return fmt.Errorf("accqoc: overlapping pulses on qubit %d", q)
 			}
+			last[q-lo] = sp.StartNs + sp.DurationNs
 		}
 	}
 	var maxEnd float64

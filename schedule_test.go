@@ -1,6 +1,8 @@
 package accqoc
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"accqoc/internal/circuit"
@@ -9,6 +11,7 @@ import (
 	"accqoc/internal/precompile"
 	"accqoc/internal/pulse"
 	"accqoc/internal/topology"
+	"accqoc/internal/workload"
 )
 
 func TestBuildScheduleValidates(t *testing.T) {
@@ -109,6 +112,70 @@ func TestValidateMakespanTwoSided(t *testing.T) {
 	deflated.MakespanNs = 40 // below the last pulse end
 	if deflated.Validate() == nil {
 		t.Fatal("deflated makespan accepted")
+	}
+}
+
+// TestValidateSlotOrder: Validate checks per-qubit exclusivity in slot
+// order, sorting a hand-shuffled slot list first. A served schedule still
+// validates after a shuffle; a slot listed twice overlaps itself and is
+// refused, naming its first qubit, in either order; and two independent
+// groups placed on one qubit overlap whichever comes first in the list.
+func TestValidateSlotOrder(t *testing.T) {
+	comp := New(Options{Device: topology.Melbourne(), Policy: grouping.Map2b4l})
+	p, err := workload.FromSpec("named:4gt4-v0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := comp.PlanGroups(p.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := AssembleSchedule(&CompileResult{GroupPlan: plan}, syntheticLibrary(plan, false), comp.Options().Device.Calibration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	shuffle := func(slots []ScheduledPulse) {
+		rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
+	}
+	shuffle(sched.Pulses)
+	if err := sched.Validate(); err != nil {
+		t.Fatalf("shuffled valid schedule refused: %v", err)
+	}
+	i := len(sched.Pulses) / 2
+	for sched.Pulses[i].DurationNs == 0 {
+		i++ // a zero-duration slot cannot overlap itself
+	}
+	dup := sched.Pulses[i]
+	sched.Pulses = append(sched.Pulses, dup)
+	want := fmt.Sprintf("accqoc: overlapping pulses on qubit %d", dup.Qubits[0])
+	for round := 0; round < 3; round++ {
+		if err := sched.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("round %d: a slot listed twice gave %v, want %q", round, err, want)
+		}
+		shuffle(sched.Pulses)
+	}
+
+	c := circuit.New(2)
+	c.MustAppend(gate.H, []int{0})
+	c.MustAppend(gate.H, []int{1})
+	gr, err := grouping.Divide(c, grouping.Map2b4l)
+	if err != nil || len(gr.Groups) != 2 || len(gr.Preds[1]) != 0 {
+		t.Fatalf("want two independent groups, have %d (err %v)", len(gr.Groups), err)
+	}
+	hand := &Schedule{
+		Result:     &CompileResult{GroupPlan: &GroupPlan{Prepared: &Prepared{Grouping: gr}}},
+		MakespanNs: 100,
+		Pulses: []ScheduledPulse{
+			{Group: 1, Qubits: []int{0}, StartNs: 50, DurationNs: 50},
+			{Group: 0, Qubits: []int{0}, StartNs: 0, DurationNs: 100},
+		},
+	}
+	for round := 0; round < 2; round++ {
+		if err := hand.Validate(); err == nil || err.Error() != "accqoc: overlapping pulses on qubit 0" {
+			t.Fatalf("round %d: overlapping independent groups gave %v", round, err)
+		}
+		hand.Pulses[0], hand.Pulses[1] = hand.Pulses[1], hand.Pulses[0]
 	}
 }
 

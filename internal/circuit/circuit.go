@@ -93,10 +93,13 @@ type DAG struct {
 	Preds   [][]int // Preds[i]: immediate predecessors of gate i (sorted)
 	Succs   [][]int // Succs[i]: immediate successors of gate i (sorted)
 	Depth   []int   // ASAP layer of gate i, 0-based
+
+	layers [][]int // gate indices by depth, built with the DAG
 }
 
 // BuildDAG constructs the dependency DAG and ASAP depths in one pass over
-// the gate list (which is already topologically ordered).
+// the gate list (which is already topologically ordered), then groups the
+// gates into ASAP layers.
 func BuildDAG(c *Circuit) *DAG {
 	n := len(c.Gates)
 	d := &DAG{
@@ -147,6 +150,19 @@ func BuildDAG(c *Circuit) *DAG {
 			d.Succs[p] = append(d.Succs[p], i)
 		}
 	}
+	// The layers share a third array, each sized to its count first.
+	d.layers = make([][]int, d.NumLayers())
+	sizes := make([]int, len(d.layers))
+	for _, dep := range d.Depth {
+		sizes[dep]++
+	}
+	layered := make([]int, n)
+	for l, k := range sizes {
+		d.layers[l], layered = layered[:0:k], layered[k:]
+	}
+	for i, dep := range d.Depth {
+		d.layers[dep] = append(d.layers[dep], i)
+	}
 	return d
 }
 
@@ -178,23 +194,9 @@ func (d *DAG) NumLayers() int {
 }
 
 // Layers groups gate indices by ASAP depth. Layer l contains all gates at
-// depth l, in program order.
-func (d *DAG) Layers() [][]int {
-	layers := make([][]int, d.NumLayers())
-	// The layers share one array, each sized to its count first.
-	counts := make([]int, len(layers))
-	for _, dep := range d.Depth {
-		counts[dep]++
-	}
-	all := make([]int, len(d.Depth))
-	for l, k := range counts {
-		layers[l], all = all[:0:k], all[k:]
-	}
-	for i, dep := range d.Depth {
-		layers[dep] = append(layers[dep], i)
-	}
-	return layers
-}
+// depth l, in program order. BuildDAG derives them once; every caller
+// shares them and must not modify them.
+func (d *DAG) Layers() [][]int { return d.layers }
 
 // TopologicalOrder returns gate indices in a valid topological order.
 // Because circuits are built sequentially this is simply 0..n−1, but the

@@ -17,7 +17,8 @@ import (
 )
 
 // CloseDistance is the edge-to-edge coupling distance at or below which two
-// concurrent CX gates are counted as a crosstalking pair.
+// concurrent CX gates are counted as a crosstalking pair: the distance
+// topology.Device.Close tests.
 const CloseDistance = 1
 
 // InflationFactor is the average error-rate inflation a CX suffers from a
@@ -41,8 +42,7 @@ func MetricDAG(dag *circuit.DAG, dev *topology.Device) int {
 		edges = layerCXEdges(edges[:0], c, layer)
 		for i := 0; i < len(edges); i++ {
 			for j := i + 1; j < len(edges); j++ {
-				d := dev.EdgeDistance(edges[i], edges[j])
-				if d >= 0 && d <= CloseDistance {
+				if dev.Close(edges[i], edges[j]) {
 					total++
 				}
 			}
@@ -61,8 +61,7 @@ func PerLayer(c *circuit.Circuit, dev *topology.Device) []int {
 		edges = layerCXEdges(edges[:0], c, layer)
 		for i := 0; i < len(edges); i++ {
 			for j := i + 1; j < len(edges); j++ {
-				d := dev.EdgeDistance(edges[i], edges[j])
-				if d >= 0 && d <= CloseDistance {
+				if dev.Close(edges[i], edges[j]) {
 					out[l]++
 				}
 			}
@@ -182,11 +181,7 @@ func ProgramFidelityDAG(dag *circuit.DAG, dev *topology.Device, latencyNs float6
 				base[pair] = err
 			}
 			for _, other := range edges {
-				if other == self {
-					continue
-				}
-				d := dev.EdgeDistance(self, other)
-				if d >= 0 && d <= CloseDistance {
+				if other != self && dev.Close(self, other) {
 					err *= InflationFactor // CrosstalkError's product
 					break
 				}

@@ -303,8 +303,7 @@ func (s *state) crosstalkPairs(layout []int, pairs [][2]int, swaps [][2]int) int
 	count := 0
 	for i := 0; i < len(edges); i++ {
 		for j := i + 1; j < len(edges); j++ {
-			d := s.dev.EdgeDistance(edges[i], edges[j])
-			if d >= 0 && d <= 1 {
+			if s.dev.Close(edges[i], edges[j]) {
 				count++
 			}
 		}

@@ -30,6 +30,9 @@ type Device struct {
 
 	adj  [][]int // undirected adjacency lists, sorted
 	dist [][]int // undirected BFS distances; -1 when disconnected
+	// near[a*NumQubits+b] reports dist[a][b] ∈ {0, 1}: a and b are one
+	// qubit or coupled. Close reads it.
+	near []bool
 }
 
 // Calibration holds the device's timing and error model. Values default to
@@ -139,6 +142,12 @@ func New(name string, n int, edges []Edge, cal Calibration) (*Device, error) {
 		}
 		d.dist[src] = row
 	}
+	d.near = make([]bool, n*n)
+	for a, row := range d.dist {
+		for b, dd := range row {
+			d.near[a*n+b] = dd == 0 || dd == 1
+		}
+	}
 	return d, nil
 }
 
@@ -223,8 +232,8 @@ func dimension(s string) (int, bool) {
 }
 
 // WithCalibration returns a copy of the device carrying cal — the same
-// topology under a new calibration epoch. The adjacency and distance
-// tables are shared (they are immutable once built).
+// topology under a new calibration epoch. The adjacency, distance and
+// closeness tables are shared (they are immutable once built).
 func (d *Device) WithCalibration(cal Calibration) *Device {
 	nd := *d
 	nd.Calibration = cal
@@ -275,10 +284,21 @@ func (d *Device) UndirectedEdges() []Edge {
 	return out
 }
 
+// Close reports whether two undirected edges are within coupling distance
+// 1 of each other — they share a qubit or some of their endpoints are
+// coupled — the closeness behind the paper's crosstalk indicator
+// I(gm, gn). It is EdgeDistance(e1, e2) ∈ {0, 1}, read from a table built
+// once per device.
+func (d *Device) Close(e1, e2 Edge) bool {
+	n, near := d.NumQubits, d.near
+	return near[e1.From*n+e2.From] || near[e1.From*n+e2.To] ||
+		near[e1.To*n+e2.From] || near[e1.To*n+e2.To]
+}
+
 // EdgeDistance returns the minimum coupling distance between the endpoint
 // sets of two undirected edges: 0 if they share a qubit, 1 if some endpoints
-// are adjacent, etc. This is the "closeness" notion behind the paper's
-// crosstalk indicator I(gm, gn).
+// are adjacent, etc.; -1 if no endpoint of one reaches the other. Close is
+// its distance-≤1 test.
 func (d *Device) EdgeDistance(e1, e2 Edge) int {
 	from, to := d.dist[e1.From], d.dist[e1.To]
 	best := -1

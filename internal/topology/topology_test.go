@@ -227,3 +227,44 @@ func TestParse(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseMatchesReference compares Close with the predicate it replaced,
+// an EdgeDistance in {0, 1}, over every ordered pair of ordered qubit
+// pairs of each device: Melbourne, a grid, a chain, a device with two
+// isolated qubits (an edge between them is at distance -1 from every
+// edge that avoids them) and a grid of more than 64 qubits.
+func TestCloseMatchesReference(t *testing.T) {
+	isolated, err := New("isolated-qubits", 6, []Edge{{0, 1}, {1, 2}, {2, 3}}, MelbourneCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Device{Melbourne(), Grid(3, 3), Linear(5), isolated, Grid(5, 13)} {
+		var pairs []Edge
+		for a := 0; a < d.NumQubits; a++ {
+			for b := 0; b < d.NumQubits; b++ {
+				if a != b {
+					pairs = append(pairs, Edge{a, b})
+				}
+			}
+		}
+		seen := map[bool]bool{}
+		disconnected := false
+		for _, e1 := range pairs {
+			for _, e2 := range pairs {
+				dd := d.EdgeDistance(e1, e2)
+				want := dd >= 0 && dd <= 1
+				if got := d.Close(e1, e2); got != want {
+					t.Fatalf("%s: Close(%v, %v) = %v, EdgeDistance %d", d.Name, e1, e2, got, dd)
+				}
+				seen[want] = true
+				disconnected = disconnected || dd < 0
+			}
+		}
+		if !seen[true] || !seen[false] {
+			t.Fatalf("%s: Close answered only %v", d.Name, seen)
+		}
+		if disconnected != (d == isolated) {
+			t.Fatalf("%s: distance -1 seen = %v", d.Name, disconnected)
+		}
+	}
+}

@@ -84,8 +84,9 @@ func (p *Predictor) Predict(window []string, topN int) []Prediction {
 	// Long-run prior from the pair table: counts between a window key and
 	// the candidate, as a fraction of all requests.
 	if l.requests > 0 {
-		for _, s := range l.pairHeap {
-			a, b, n := s.key.a, s.key.b, float64(s.count)
+		for _, it := range l.pairs.heap {
+			ra, rb := l.pairRows(it.slot)
+			a, b, n := ra.key, rb.key, float64(it.count)
 			switch {
 			case in[a] && !in[b]:
 				scores[b] += n / float64(l.requests)

@@ -90,6 +90,11 @@ type row struct {
 	lastArrivalNs int64
 	sumInterNs    float64
 	interSamples  int64
+	// id names the key in the pair table, from 1; 0 until RecordRequest
+	// first files the key. rank is the key's position in the lexical
+	// order of every filed key.
+	id   uint32
+	rank uint32
 }
 
 // request is one history-ring element.
@@ -110,11 +115,16 @@ type Ledger struct {
 	ringNext int
 	requests int64
 
-	// pairs indexes the co-occurrence table by key pair; pairHeap holds
-	// the same slots as a min-heap in space-saving victim order.
-	pairs        map[pairKey]*pairSlot
-	pairHeap     pairHeap
+	// filed holds every row RecordRequest has filed, by id (filed[0] is
+	// unused); ranked holds the same rows in lexical key order.
+	filed  []*row
+	ranked []*row
+	// pairs is the co-occurrence table over key ids.
+	pairs        pairTable
 	droppedPairs int64
+	// reqRows and fresh are RecordRequest's scratch: the request's rows,
+	// and those it files for the first time.
+	reqRows, fresh []*row
 
 	regretEvents     int64
 	regretIterations int64
@@ -129,7 +139,8 @@ func NewLedger(opts Options) *Ledger {
 		opts:  opts,
 		rows:  map[string]*row{},
 		ring:  make([]request, 0, opts.HistorySize),
-		pairs: map[pairKey]*pairSlot{},
+		filed: []*row{nil},
+		pairs: pairTable{index: map[uint64]int32{}},
 	}
 }
 
@@ -253,111 +264,166 @@ func (l *Ledger) RecordRequest(keys []string) {
 		l.ring[l.ringNext] = request{unixNs: now, keys: kc}
 		l.ringNext = (l.ringNext + 1) % l.opts.HistorySize
 	}
-	for i := 0; i < len(kc); i++ {
-		r := l.rowFor(kc[i])
+	rows, fresh := l.reqRows[:0], l.fresh[:0]
+	for _, k := range kc {
+		r := l.rowFor(k)
 		r.arrivals++
 		if r.lastArrivalNs > 0 && now > r.lastArrivalNs {
 			r.sumInterNs += float64(now - r.lastArrivalNs)
 			r.interSamples++
 		}
 		r.lastArrivalNs = now
-		for j := i + 1; j < len(kc); j++ {
-			if kc[i] == kc[j] {
+		if r.id == 0 {
+			r.id = uint32(len(l.filed))
+			l.filed = append(l.filed, r)
+			fresh = append(fresh, r)
+		}
+		rows = append(rows, r)
+	}
+	l.reqRows, l.fresh = rows, fresh
+	if len(fresh) > 0 {
+		l.rank(fresh)
+	}
+	for i, a := range rows {
+		for _, b := range rows[i+1:] {
+			if a == b {
 				continue
 			}
-			pk := pairKey{kc[i], kc[j]}
-			if s, ok := l.pairs[pk]; ok {
-				s.count++
-				l.pairHeap.down(s.at)
-				continue
+			if l.pairs.file(uint64(a.id)<<32|uint64(b.id), uint64(a.rank)<<32|uint64(b.rank), l.opts.PairCap) {
+				l.droppedPairs++
 			}
-			if len(l.pairHeap) < l.opts.PairCap {
-				s := &pairSlot{key: pk, count: 1}
-				l.pairs[pk] = s
-				l.pairHeap.push(s)
-				continue
-			}
-			// Space-saving admission: displace the lowest-count pair
-			// instead of refusing forever, and give the newcomer that
-			// count plus one (the classic overestimate) so a genuinely
-			// hot new pair climbs instead of being instantly re-evicted.
-			// DroppedPairs keeps counting the overflow churn. The victim
-			// is the heap root; its slot is reused for the newcomer.
-			s := l.pairHeap[0]
-			delete(l.pairs, s.key)
-			s.key = pk
-			s.count++
-			l.pairs[pk] = s
-			l.pairHeap.down(0)
-			l.droppedPairs++
 		}
 	}
 }
 
-// pairKey is one unordered co-occurrence pair, a < b.
-type pairKey struct{ a, b string }
+// rank merges rows filed for the first time, in lexical key order, into
+// l.ranked in one pass and renumbers the ranks from the first insertion
+// on. The merge never reorders rows ranked before, so the pair heap stays
+// a valid heap; only the ranks it carries inline are refreshed.
+func (l *Ledger) rank(fresh []*row) {
+	old := len(l.ranked)
+	l.ranked = append(l.ranked, fresh...)
+	i, j := old-1, len(fresh)-1
+	for k := len(l.ranked) - 1; j >= 0; k-- {
+		if i >= 0 && l.ranked[i].key > fresh[j].key {
+			l.ranked[k] = l.ranked[i]
+			i--
+		} else {
+			l.ranked[k] = fresh[j]
+			j--
+		}
+	}
+	for p := i + 1; p < len(l.ranked); p++ {
+		l.ranked[p].rank = uint32(p)
+	}
+	if i+1 < old {
+		for h, it := range l.pairs.heap {
+			a, b := l.pairRows(it.slot)
+			l.pairs.heap[h].ranks = uint64(a.rank)<<32 | uint64(b.rank)
+		}
+	}
+}
 
-// pairSlot is one pair-table row and its current index in the heap.
-type pairSlot struct {
-	key   pairKey
+// pairRows returns the rows of a pair-table slot's two keys, the
+// lexically smaller first.
+func (l *Ledger) pairRows(slot int32) (a, b *row) {
+	ids := l.pairs.ids[slot]
+	return l.filed[ids>>32], l.filed[uint32(ids)]
+}
+
+// pairTable is the space-saving co-occurrence table. A pair is its two
+// key ids packed a<<32|b, a's key the lexically smaller; index maps it to
+// its slot, ids holds each slot's pair and at its index in heap, a binary
+// min-heap of every slot in victim order. A heap element carries its
+// slot's count and key ranks, so a sift compares integers only, and the
+// displacement victim is always heap[0].
+type pairTable struct {
+	index map[uint64]int32
+	ids   []uint64
+	at    []int32
+	heap  []pairItem
+}
+
+// pairItem is one heap element: a pair's count, its keys' ranks packed
+// rank(a)<<32|rank(b), and its slot.
+type pairItem struct {
 	count int64
-	at    int
+	ranks uint64
+	slot  int32
 }
 
-// pairLess is the space-saving victim order: lowest count first, ties on
-// the lexically smallest pair, so displacement is deterministic.
-func pairLess(x, y *pairSlot) bool {
-	if x.count != y.count {
-		return x.count < y.count
+// less is the space-saving victim order: lowest count first, ties on the
+// lexically smallest pair (ranks order keys as their strings do), so
+// displacement is deterministic.
+func (x pairItem) less(y pairItem) bool {
+	return x.count < y.count || x.count == y.count && x.ranks < y.ranks
+}
+
+// file counts one co-occurrence of the pair with the given ids and ranks.
+// An unseen pair takes a new slot below capacity; at capacity it
+// displaces the lowest-count pair (space-saving admission) and file
+// reports true. The newcomer takes the victim's count plus one (the
+// classic overestimate), so a genuinely hot new pair climbs instead of
+// being instantly re-evicted, and reuses its slot.
+func (t *pairTable) file(pair, ranks uint64, capacity int) (displaced bool) {
+	if s, ok := t.index[pair]; ok {
+		i := t.at[s]
+		t.heap[i].count++
+		t.down(int(i))
+		return false
 	}
-	if x.key.a != y.key.a {
-		return x.key.a < y.key.a
+	if len(t.heap) < capacity {
+		s := int32(len(t.ids))
+		t.index[pair] = s
+		t.ids = append(t.ids, pair)
+		t.at = append(t.at, int32(len(t.heap)))
+		t.heap = append(t.heap, pairItem{count: 1, ranks: ranks, slot: s})
+		t.up(len(t.heap) - 1)
+		return false
 	}
-	return x.key.b < y.key.b
+	v := &t.heap[0]
+	delete(t.index, t.ids[v.slot])
+	t.index[pair] = v.slot
+	t.ids[v.slot] = pair
+	v.count++
+	v.ranks = ranks
+	t.down(0)
+	return true
 }
 
-// pairHeap is a binary min-heap of pair slots under pairLess that keeps
-// every slot's at field equal to its index, so a count change re-sifts
-// from the slot in O(log n) and the displacement victim is always h[0].
-type pairHeap []*pairSlot
-
-func (h *pairHeap) push(s *pairSlot) {
-	s.at = len(*h)
-	*h = append(*h, s)
-	h.up(s.at)
-}
-
-func (h pairHeap) up(i int) {
+func (t *pairTable) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !pairLess(h[i], h[p]) {
+		if !t.heap[i].less(t.heap[p]) {
 			return
 		}
-		h.swap(i, p)
+		t.swap(i, p)
 		i = p
 	}
 }
 
-func (h pairHeap) down(i int) {
+func (t *pairTable) down(i int) {
+	h := t.heap
 	for {
 		m := i
-		if c := 2*i + 1; c < len(h) && pairLess(h[c], h[m]) {
+		if c := 2*i + 1; c < len(h) && h[c].less(h[m]) {
 			m = c
 		}
-		if c := 2*i + 2; c < len(h) && pairLess(h[c], h[m]) {
+		if c := 2*i + 2; c < len(h) && h[c].less(h[m]) {
 			m = c
 		}
 		if m == i {
 			return
 		}
-		h.swap(i, m)
+		t.swap(i, m)
 		i = m
 	}
 }
 
-func (h pairHeap) swap(i, j int) {
+func (t *pairTable) swap(i, j int) {
+	h := t.heap
 	h[i], h[j] = h[j], h[i]
-	h[i].at, h[j].at = i, j
+	t.at[h[i].slot], t.at[h[j].slot] = int32(i), int32(j)
 }
 
 // Totals are the ledger-wide accumulated sums.
@@ -486,8 +552,9 @@ func (l *Ledger) Report(topN int) Report {
 	if topN > 0 && len(rep.Top) > topN {
 		rep.Top = rep.Top[:topN]
 	}
-	for _, s := range l.pairHeap {
-		rep.Pairs = append(rep.Pairs, PairCount{Keys: [2]string{s.key.a, s.key.b}, Count: s.count})
+	for _, it := range l.pairs.heap {
+		a, b := l.pairRows(it.slot)
+		rep.Pairs = append(rep.Pairs, PairCount{Keys: [2]string{a.key, b.key}, Count: it.count})
 	}
 	sort.Slice(rep.Pairs, func(i, j int) bool {
 		a, b := rep.Pairs[i], rep.Pairs[j]
@@ -535,7 +602,7 @@ func (l *Ledger) Stats() Stats {
 		RegretIterations: l.regretIterations,
 		RegretWallSecs:   l.regretWallNs / 1e9,
 		Evictions:        l.evictions,
-		Pairs:            len(l.pairs),
+		Pairs:            len(l.pairs.heap),
 		DroppedPairs:     l.droppedPairs,
 	}
 	for _, r := range l.rows {

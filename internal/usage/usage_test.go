@@ -2,6 +2,7 @@ package usage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -287,26 +288,274 @@ func TestPairHeapMatchesScan(t *testing.T) {
 }
 
 // checkPairTable compares a ledger's pair table with the reference and
-// checks the heap's order and index invariants.
+// checks the heap's order, index and rank invariants.
 func checkPairTable(l *Ledger, ref *refPairTable) error {
 	if got := l.Stats().DroppedPairs; got != ref.dropped {
 		return fmt.Errorf("dropped pairs = %d, reference %d", got, ref.dropped)
 	}
-	if len(l.pairs) != len(ref.counts) || len(l.pairHeap) != len(l.pairs) {
-		return fmt.Errorf("pairs %d / heap %d, reference %d", len(l.pairs), len(l.pairHeap), len(ref.counts))
+	t := &l.pairs
+	if len(t.index) != len(ref.counts) || len(t.heap) != len(t.index) || len(t.ids) != len(t.heap) || len(t.at) != len(t.heap) {
+		return fmt.Errorf("index %d / heap %d / slots %d,%d, reference %d", len(t.index), len(t.heap), len(t.ids), len(t.at), len(ref.counts))
 	}
-	for pk, s := range l.pairs {
-		want, ok := ref.counts[pk.a+"\x00"+pk.b]
-		if !ok || s.count != want || s.key != pk {
-			return fmt.Errorf("pair %q,%q count %d, reference %d (present %v)", pk.a, pk.b, s.count, want, ok)
+	for i, it := range t.heap {
+		a, b := l.pairRows(it.slot)
+		want, ok := ref.counts[a.key+"\x00"+b.key]
+		if !ok || it.count != want {
+			return fmt.Errorf("pair %q,%q count %d, reference %d (present %v)", a.key, b.key, it.count, want, ok)
 		}
-	}
-	for i, s := range l.pairHeap {
-		if s.at != i || l.pairs[s.key] != s {
-			return fmt.Errorf("heap slot %d records index %d", i, s.at)
+		if t.at[it.slot] != int32(i) || t.index[t.ids[it.slot]] != it.slot {
+			return fmt.Errorf("heap slot %d records index %d", i, t.at[it.slot])
 		}
-		if p := (i - 1) / 2; i > 0 && pairLess(s, l.pairHeap[p]) {
+		if a.key >= b.key || it.ranks != uint64(a.rank)<<32|uint64(b.rank) {
+			return fmt.Errorf("heap slot %d carries ranks %x for %q (rank %d), %q (rank %d)", i, it.ranks, a.key, a.rank, b.key, b.rank)
+		}
+		if p := (i - 1) / 2; i > 0 && it.less(t.heap[p]) {
 			return fmt.Errorf("heap slot %d orders before its parent %d", i, p)
+		}
+	}
+	for i, r := range l.ranked {
+		if r.rank != uint32(i) || i > 0 && l.ranked[i-1].key >= r.key {
+			return fmt.Errorf("key %q ranked %d at %d", r.key, r.rank, i)
+		}
+	}
+	return nil
+}
+
+// pairKey, pairSlot, pairLess and pairHeap are the string-keyed pair
+// table the ledger kept before key ids and ranks, verbatim: the reference
+// model of TestPairHeapMatchesReference.
+
+// pairKey is one unordered co-occurrence pair, a < b.
+type pairKey struct{ a, b string }
+
+// pairSlot is one pair-table row and its current index in the heap.
+type pairSlot struct {
+	key   pairKey
+	count int64
+	at    int
+}
+
+// pairLess is the space-saving victim order: lowest count first, ties on
+// the lexically smallest pair, so displacement is deterministic.
+func pairLess(x, y *pairSlot) bool {
+	if x.count != y.count {
+		return x.count < y.count
+	}
+	if x.key.a != y.key.a {
+		return x.key.a < y.key.a
+	}
+	return x.key.b < y.key.b
+}
+
+// pairHeap is a binary min-heap of pair slots under pairLess that keeps
+// every slot's at field equal to its index, so a count change re-sifts
+// from the slot in O(log n) and the displacement victim is always h[0].
+type pairHeap []*pairSlot
+
+func (h *pairHeap) push(s *pairSlot) {
+	s.at = len(*h)
+	*h = append(*h, s)
+	h.up(s.at)
+}
+
+func (h pairHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !pairLess(h[i], h[p]) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h pairHeap) down(i int) {
+	for {
+		m := i
+		if c := 2*i + 1; c < len(h) && pairLess(h[c], h[m]) {
+			m = c
+		}
+		if c := 2*i + 2; c < len(h) && pairLess(h[c], h[m]) {
+			m = c
+		}
+		if m == i {
+			return
+		}
+		h.swap(i, m)
+		i = m
+	}
+}
+
+func (h pairHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].at, h[j].at = i, j
+}
+
+// refHeapTable files requests into the string-keyed heap the way
+// RecordRequest's pair loop did before key ids.
+type refHeapTable struct {
+	cap          int
+	pairs        map[pairKey]*pairSlot
+	pairHeap     pairHeap
+	droppedPairs int64
+}
+
+func (r *refHeapTable) record(keys []string) {
+	kc := append([]string(nil), keys...)
+	sort.Strings(kc)
+	for i := 0; i < len(kc); i++ {
+		for j := i + 1; j < len(kc); j++ {
+			if kc[i] == kc[j] {
+				continue
+			}
+			pk := pairKey{kc[i], kc[j]}
+			if s, ok := r.pairs[pk]; ok {
+				s.count++
+				r.pairHeap.down(s.at)
+				continue
+			}
+			if len(r.pairHeap) < r.cap {
+				s := &pairSlot{key: pk, count: 1}
+				r.pairs[pk] = s
+				r.pairHeap.push(s)
+				continue
+			}
+			s := r.pairHeap[0]
+			delete(r.pairs, s.key)
+			s.key = pk
+			s.count++
+			r.pairs[pk] = s
+			r.pairHeap.down(0)
+			r.droppedPairs++
+		}
+	}
+}
+
+// refPredict is Predict as it was before key ids: the same ring vote and
+// dueness, with the pair-table prior summed over the reference heap in
+// its heap order.
+func refPredict(l *Ledger, ref *refHeapTable, window []string, topN int) []Prediction {
+	if len(window) == 0 {
+		return nil
+	}
+	in := make(map[string]bool, len(window))
+	for _, k := range window {
+		in[k] = true
+	}
+
+	now := l.opts.now().UnixNano()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+
+	scores := map[string]float64{}
+
+	weight := 1.0
+	l.eachWindowNewestFirst(func(req request) {
+		overlap := 0
+		for _, k := range req.keys {
+			if in[k] {
+				overlap++
+			}
+		}
+		if overlap > 0 {
+			for _, k := range req.keys {
+				if !in[k] {
+					scores[k] += weight * float64(overlap)
+				}
+			}
+		}
+		weight *= ringDecay
+	})
+
+	if l.requests > 0 {
+		for _, s := range ref.pairHeap {
+			a, b, n := s.key.a, s.key.b, float64(s.count)
+			switch {
+			case in[a] && !in[b]:
+				scores[b] += n / float64(l.requests)
+			case in[b] && !in[a]:
+				scores[a] += n / float64(l.requests)
+			}
+		}
+	}
+
+	preds := make([]Prediction, 0, len(scores))
+	for k, s := range scores {
+		if s <= 0 {
+			continue
+		}
+		preds = append(preds, Prediction{Key: k, Score: s * l.duenessLocked(k, now)})
+	}
+	sort.Slice(preds, func(i, j int) bool {
+		if preds[i].Score != preds[j].Score {
+			return preds[i].Score > preds[j].Score
+		}
+		return preds[i].Key < preds[j].Key
+	})
+	if topN > 0 && len(preds) > topN {
+		preds = preds[:topN]
+	}
+	return preds
+}
+
+// TestPairHeapMatchesReference drives a Ledger and the string-keyed heap
+// it replaced side by side over seeded request streams. Caps are small so
+// that pairs keep being displaced and counts tie; keys are k<number>, so
+// prefix pairs such as k1/k10 reach the tie-breaks; and the key universe
+// grows mid-stream with keys that sort between known ones, shifting the
+// ranks of keys already in the heap. After every request each heap index
+// must hold the same pair with the same count, and Predict under a fixed
+// clock must return the reference's keys and scores bit for bit.
+func TestPairHeapMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clock := time.Unix(1000, 0)
+		pairCap := 1 + rng.Intn(40)
+		l := NewLedger(Options{HistorySize: 1 + rng.Intn(12), PairCap: pairCap, now: func() time.Time { return clock }})
+		ref := &refHeapTable{cap: pairCap, pairs: map[pairKey]*pairSlot{}}
+		universe := []string{"k" + strconv.Itoa(rng.Intn(200)), "k" + strconv.Itoa(rng.Intn(200))}
+		for req := 0; req < 250; req++ {
+			if rng.Intn(4) == 0 {
+				universe = append(universe, "k"+strconv.Itoa(rng.Intn(200)))
+			}
+			window := make([]string, 1+rng.Intn(8))
+			for i := range window {
+				window[i] = universe[rng.Intn(len(universe))]
+			}
+			l.RecordRequest(window)
+			ref.record(window)
+			if err := sameHeap(l, ref); err != nil {
+				t.Fatalf("seed %d cap %d request %d %v: %v", seed, pairCap, req, window, err)
+			}
+			clock = clock.Add(time.Duration(rng.Intn(3)) * time.Millisecond)
+			probe := []string{universe[rng.Intn(len(universe))], universe[rng.Intn(len(universe))]}
+			got, want := l.Predictor().Predict(probe, 0), refPredict(l, ref, probe, 0)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d request %d: %d predictions, reference %d", seed, req, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Key != want[i].Key || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("seed %d request %d: prediction %d is %+v, reference %+v", seed, req, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// sameHeap reports the first heap index at which the ledger's pair table
+// and the reference hold a different pair or count.
+func sameHeap(l *Ledger, ref *refHeapTable) error {
+	if l.droppedPairs != ref.droppedPairs {
+		return fmt.Errorf("dropped pairs = %d, reference %d", l.droppedPairs, ref.droppedPairs)
+	}
+	if len(l.pairs.heap) != len(ref.pairHeap) {
+		return fmt.Errorf("heap holds %d pairs, reference %d", len(l.pairs.heap), len(ref.pairHeap))
+	}
+	for i, it := range l.pairs.heap {
+		a, b := l.pairRows(it.slot)
+		want := ref.pairHeap[i]
+		if a.key != want.key.a || b.key != want.key.b || it.count != want.count {
+			return fmt.Errorf("heap index %d holds %q,%q ×%d, reference %q,%q ×%d", i, a.key, b.key, it.count, want.key.a, want.key.b, want.count)
 		}
 	}
 	return nil

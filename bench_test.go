@@ -167,47 +167,45 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGradient compares the exact eigenbasis gradient against
-// the first-order GRAPE formula on the same compilation.
-func BenchmarkAblationGradient(b *testing.B) {
-	h, err := gate.Unitary(gate.H, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := hamiltonian.OneQubit(hamiltonian.Config{})
-	for _, mode := range []grape.GradientMode{grape.GradientExact, grape.GradientFirstOrder} {
-		b.Run(string(mode), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := grape.Compile(sys, h, 50,
-					grape.Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 3, Gradient: mode}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Iterations), "iters")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationOptimizer compares the §IV-D optimizer menu on one
-// compilation task.
+// BenchmarkAblationOptimizer compares the two quasi-Newton methods GRAPE
+// trains with: dense BFGS (the paper's §IV-D choice and the default) and
+// L-BFGS. h-1q trains the H gate at 50 ns; cx-2q trains CX at 500 ns on
+// BenchmarkCompile2Q's configuration (32 segments, target 1e-3, 400
+// iterations, no restarts), the size of objective the cold serving path
+// trains. Each reports optimizer iterations (iters) and line-search trial
+// points (evals), both deterministic.
 func BenchmarkAblationOptimizer(b *testing.B) {
-	h, err := gate.Unitary(gate.H, nil)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name     string
+		sys      *hamiltonian.System
+		g        gate.Name
+		duration float64
+		opts     grape.Options
+	}{
+		{"h-1q", hamiltonian.OneQubit(hamiltonian.Config{}), gate.H, 50,
+			grape.Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 3, MaxIterations: 3000}},
+		{"cx-2q", hamiltonian.TwoQubit(hamiltonian.Config{}), gate.CX, 500,
+			grape.Options{Segments: 32, TargetInfidelity: 1e-3, Seed: 5, MaxIterations: 400, Restarts: -1}},
 	}
-	sys := hamiltonian.OneQubit(hamiltonian.Config{})
-	for _, m := range []optimize.Method{optimize.BFGS, optimize.LBFGS, optimize.ADAM} {
-		b.Run(string(m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := grape.Compile(sys, h, 50,
-					grape.Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 3, Method: m, MaxIterations: 3000}, nil)
-				if err != nil {
-					b.Fatal(err)
+	for _, c := range cases {
+		target, err := gate.Unitary(c.g, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []optimize.Method{optimize.BFGS, optimize.LBFGS} {
+			opts := c.opts
+			opts.Method = m
+			b.Run(c.name+"/"+string(m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := grape.Compile(c.sys, target, c.duration, opts, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(res.Iterations), "iters")
+					b.ReportMetric(float64(res.FuncEvals), "evals")
 				}
-				b.ReportMetric(float64(res.Iterations), "iters")
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 
 	"accqoc/internal/cmat"
 	"accqoc/internal/gate"
@@ -198,17 +197,6 @@ func (d *DAG) NumLayers() int {
 // shares them and must not modify them.
 func (d *DAG) Layers() [][]int { return d.layers }
 
-// TopologicalOrder returns gate indices in a valid topological order.
-// Because circuits are built sequentially this is simply 0..n−1, but the
-// method exists so downstream algorithms state their requirement explicitly.
-func (d *DAG) TopologicalOrder() []int {
-	order := make([]int, len(d.Circuit.Gates))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
 // Unitary computes the exact 2^n × 2^n unitary implemented by the circuit.
 // Intended for small circuits (groups); it errors above maxQubits (10) to
 // guard against accidental exponential blow-ups.
@@ -227,22 +215,6 @@ func (c *Circuit) Unitary() (*cmat.Matrix, error) {
 		acc = cmat.Mul(gate.Embed(u, g.Qubits, c.NumQubits), acc)
 	}
 	return acc, nil
-}
-
-// UsedQubits returns the sorted set of qubits any gate touches.
-func (c *Circuit) UsedQubits() []int {
-	seen := map[int]bool{}
-	for _, g := range c.Gates {
-		for _, q := range g.Qubits {
-			seen[q] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for q := range seen {
-		out = append(out, q)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // TwoQubitGateCount counts gates touching two or more qubits.

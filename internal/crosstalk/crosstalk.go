@@ -51,25 +51,6 @@ func MetricDAG(dag *circuit.DAG, dev *topology.Device) int {
 	return total
 }
 
-// PerLayer returns the close-pair count of each ASAP layer (for plots).
-func PerLayer(c *circuit.Circuit, dev *topology.Device) []int {
-	dag := circuit.BuildDAG(c)
-	layers := dag.Layers()
-	out := make([]int, len(layers))
-	var edges []topology.Edge
-	for l, layer := range layers {
-		edges = layerCXEdges(edges[:0], c, layer)
-		for i := 0; i < len(edges); i++ {
-			for j := i + 1; j < len(edges); j++ {
-				if dev.Close(edges[i], edges[j]) {
-					out[l]++
-				}
-			}
-		}
-	}
-	return out
-}
-
 // layerCXEdges appends the coupling of every two-qubit gate in layer to
 // edges.
 func layerCXEdges(edges []topology.Edge, c *circuit.Circuit, layer []int) []topology.Edge {

@@ -41,18 +41,6 @@ func TestMetricRespectsLayers(t *testing.T) {
 	}
 }
 
-func TestPerLayer(t *testing.T) {
-	dev := topology.Linear(6)
-	c := circuit.New(6)
-	c.MustAppend(gate.CX, []int{0, 1}) // layer 0
-	c.MustAppend(gate.CX, []int{2, 3}) // layer 0 (close to above)
-	c.MustAppend(gate.CX, []int{0, 1}) // layer 1
-	per := PerLayer(c, dev)
-	if len(per) != 2 || per[0] != 1 || per[1] != 0 {
-		t.Fatalf("PerLayer = %v", per)
-	}
-}
-
 func TestSingleQubitGatesIgnored(t *testing.T) {
 	dev := topology.Linear(4)
 	c := circuit.New(4)

@@ -56,13 +56,3 @@ func OverallDAG(dag *circuit.DAG, cal topology.Calibration) float64 {
 		return GateLatency(gates[g].Name, cal)
 	})
 }
-
-// Serial returns the sum of all gate latencies with no parallelism — an
-// upper bound used in reports.
-func Serial(c *circuit.Circuit, cal topology.Calibration) float64 {
-	var total float64
-	for _, g := range c.Gates {
-		total += GateLatency(g.Name, cal)
-	}
-	return total
-}

@@ -51,9 +51,6 @@ func TestOverallParallelism(t *testing.T) {
 	if got := Overall(c, cal()); math.Abs(got-100) > 1e-9 {
 		t.Fatalf("parallel Overall = %v, want 100", got)
 	}
-	if got := Serial(c, cal()); math.Abs(got-200) > 1e-9 {
-		t.Fatalf("Serial = %v, want 200", got)
-	}
 }
 
 func TestFrameGatesAreFree(t *testing.T) {
@@ -117,9 +114,6 @@ func TestOverallSerialUnderSwappedLatencies(t *testing.T) {
 	if got := Overall(prog, c); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Overall = %v, want %v", got, want)
 	}
-	if got := Serial(prog, c); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Serial = %v, want %v", got, want)
-	}
 	// With swapped latencies, a 1q-dominated program is now slower than a
 	// CX-dominated one of equal gate count — the inversion a frozen
 	// Melbourne assumption would miss.
@@ -158,9 +152,6 @@ func TestOverallScalesWithCalibrationDrift(t *testing.T) {
 	want := 1.02 * Overall(prog, base)
 	if got := Overall(prog, drifted); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("2%% drifted Overall = %v, want %v", got, want)
-	}
-	if got, want := Serial(prog, drifted), 1.02*Serial(prog, base); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("2%% drifted Serial = %v, want %v", got, want)
 	}
 }
 

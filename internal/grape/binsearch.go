@@ -160,27 +160,9 @@ func CompileBinarySearch(sys *hamiltonian.System, target *cmat.Matrix, opts Opti
 	return out, nil
 }
 
-// MinDurationHeuristic estimates a search floor from quantum-speed-limit
-// style reasoning: a single-qubit group needs at least the time of a π
-// rotation at full drive; a coupled pair additionally needs the π/4 ZZ
-// evolution. Used by callers to tighten the bracket and save probes.
-func MinDurationHeuristic(sys *hamiltonian.System) float64 {
-	onePi := math.Pi / (2 * sys.MaxAmp)
-	if sys.Dim <= 2 {
-		return onePi / 2
-	}
-	// The entangling floor: J is the drift's ZZ coefficient, read from the
-	// |00⟩ diagonal element.
-	j := math.Abs(real(sys.Drift.At(0, 0)))
-	if j == 0 {
-		return onePi / 2
-	}
-	return math.Pi / (4 * j) * 0.5
-}
-
 // VerifyPulse recomputes the propagator of p and returns its infidelity
-// against the target — an independent check used by tests and the pulse
-// library loader.
+// against the target: an independent check of a trained pulse, used by
+// tests.
 func VerifyPulse(sys *hamiltonian.System, p *pulse.Pulse, target *cmat.Matrix) float64 {
 	u := Propagate(sys, p)
 	return 1 - Fidelity(u, target)

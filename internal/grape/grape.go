@@ -2,8 +2,8 @@
 // Khaneja et al. 2005): piecewise-constant control pulses are optimized so
 // the system's time-ordered propagator reaches a target unitary. This is
 // the QOC engine of the paper (§II-D, §IV-D): exact unitary propagation
-// through Hermitian eigendecomposition, analytic gradients (first-order or
-// exact eigenbasis Fréchet derivative), the §IV-D optimizer menu via
+// through Hermitian eigendecomposition, the exact gradient (the eigenbasis
+// Fréchet derivative of each segment propagator), BFGS or L-BFGS via
 // package optimize, warm starts from previously trained pulses (§V-B), and
 // binary search over the pulse latency (§IV-D).
 //
@@ -23,17 +23,9 @@ import (
 	"accqoc/internal/pulse"
 )
 
-// GradientMode selects the derivative formula.
-type GradientMode string
-
-const (
-	// GradientExact uses the eigenbasis Fréchet derivative of each segment
-	// propagator — exact for any segment length. The default.
-	GradientExact GradientMode = "exact"
-	// GradientFirstOrder uses the classic GRAPE approximation
-	// ∂U_k/∂u ≈ −i·dt·H_c·U_k, accurate for small dt.
-	GradientFirstOrder GradientMode = "first-order"
-)
+// ampPenaltyWeight scales the soft quadratic wall the cost adds beyond
+// ±MaxAmp (see objective.ampPenalty).
+const ampPenaltyWeight = 10
 
 // Options configures a compilation.
 type Options struct {
@@ -42,8 +34,6 @@ type Options struct {
 	MaxIterations    int             // optimizer cap (default 1000)
 	TargetInfidelity float64         // stop when 1−F ≤ this (default 1e-4, the paper's cost target)
 	Seed             int64           // deterministic random init
-	Gradient         GradientMode    // default GradientExact
-	AmpPenaltyWeight float64         // soft amplitude-bound weight (default 10)
 	TimeBudget       time.Duration   // wall-clock cap per optimization (paper: 600 s per probe)
 	// Restarts retries non-converged optimizations from fresh random
 	// initializations (default 2; pass -1 to disable). GRAPE landscapes
@@ -72,12 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TargetInfidelity == 0 {
 		o.TargetInfidelity = 1e-4
-	}
-	if o.Gradient == "" {
-		o.Gradient = GradientExact
-	}
-	if o.AmpPenaltyWeight == 0 {
-		o.AmpPenaltyWeight = 10
 	}
 	switch {
 	case o.Restarts == 0:

@@ -47,7 +47,7 @@ func TestExactGradientMatchesFiniteDifference(t *testing.T) {
 		"1q-h":  {oneQ(), gateU(t, gate.H), 60},
 		"2q-cx": {twoQ(), gateU(t, gate.CX), 400},
 	} {
-		opts := Options{Segments: 6, Gradient: GradientExact, Seed: 3}.withDefaults()
+		opts := Options{Segments: 6, Seed: 3}.withDefaults()
 		obj := newObjective(setup.sys, setup.target, setup.duration, opts)
 		x := obj.initialVector(nil)
 		for i := range x {
@@ -67,42 +67,6 @@ func TestExactGradientMatchesFiniteDifference(t *testing.T) {
 				t.Errorf("%s: grad[%d] = %v, finite diff %v", name, i, grad[i], fd)
 			}
 		}
-	}
-}
-
-func TestFirstOrderGradientConvergesToExact(t *testing.T) {
-	// The first-order GRAPE formula has O(dt) error: halving dt should
-	// roughly halve its deviation from the exact gradient.
-	target := gateU(t, gate.H)
-	devAt := func(segments int, duration float64) float64 {
-		optsE := Options{Segments: segments, Gradient: GradientExact, Seed: 3}.withDefaults()
-		optsF := optsE
-		optsF.Gradient = GradientFirstOrder
-		objE := newObjective(oneQ(), target, duration, optsE)
-		objF := newObjective(oneQ(), target, duration, optsF)
-		x := objE.initialVector(nil)
-		for i := range x {
-			x[i] += 0.02 * float64(i%3)
-		}
-		ge := make([]float64, len(x))
-		gf := make([]float64, len(x))
-		objE.Gradient(x, ge)
-		objF.Gradient(x, gf)
-		var worst float64
-		for i := range ge {
-			if d := math.Abs(ge[i] - gf[i]); d > worst {
-				worst = d
-			}
-		}
-		return worst
-	}
-	coarse := devAt(6, 60) // dt = 10 ns
-	fine := devAt(6, 6)    // dt = 1 ns
-	if fine >= coarse/2 {
-		t.Fatalf("first-order deviation did not shrink with dt: coarse %v, fine %v", coarse, fine)
-	}
-	if fine > 0.05 {
-		t.Fatalf("first-order gradient too far from exact at dt=1ns: %v", fine)
 	}
 }
 
@@ -128,7 +92,7 @@ func TestCompileHGateAllOptimizers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pulses; skipped in -short")
 	}
-	for _, m := range []optimize.Method{optimize.BFGS, optimize.LBFGS, optimize.ADAM} {
+	for _, m := range []optimize.Method{optimize.BFGS, optimize.LBFGS} {
 		opts := Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 2, Method: m, MaxIterations: 4000}
 		res, err := Compile(oneQ(), gateU(t, gate.H), 50, opts, nil)
 		if err != nil {
@@ -268,15 +232,6 @@ func TestBinarySearchUnreachable(t *testing.T) {
 		SearchOptions{MinDuration: 5, MaxDuration: 100, Resolution: 10}, nil)
 	if err == nil {
 		t.Fatal("expected unreachable-target error")
-	}
-}
-
-func TestMinDurationHeuristic(t *testing.T) {
-	if d := MinDurationHeuristic(oneQ()); d <= 0 || d > 25 {
-		t.Fatalf("1q floor = %v", d)
-	}
-	if d := MinDurationHeuristic(twoQ()); d <= 0 || d > 312.5 {
-		t.Fatalf("2q floor = %v", d)
 	}
 }
 

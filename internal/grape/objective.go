@@ -56,12 +56,10 @@ type objective struct {
 }
 
 // sparseCtl is one control operator in coordinate form: entry k is
-// Hc[idx[k]/n][idx[k]%n] = val[k], plus idxT for the transposed walk the
-// first-order trace needs.
+// Hc[idx[k]/n][idx[k]%n] = val[k].
 type sparseCtl struct {
-	idx  []int
-	idxT []int
-	val  []complex128
+	idx []int
+	val []complex128
 }
 
 func sparsify(ctl *cmat.Matrix) sparseCtl {
@@ -74,7 +72,6 @@ func sparsify(ctl *cmat.Matrix) sparseCtl {
 				continue
 			}
 			sc.idx = append(sc.idx, r*n+c)
-			sc.idxT = append(sc.idxT, c*n+r)
 			sc.val = append(sc.val, v)
 		}
 	}
@@ -252,9 +249,9 @@ func (o *objective) Evaluate(x []float64) float64 {
 	return 1 - f + o.ampPenalty(x, nil)
 }
 
-// Gradient computes the cost and its exact or first-order derivative.
+// Gradient computes the cost and its exact derivative.
 //
-// The exact path exploits trace cyclicity: with L_s = V†target·bwd[s] and
+// It exploits trace cyclicity: with L_s = V†target·bwd[s] and
 // R_s = fwd[s−1],
 //
 //	∂G/∂u_{s,c} = Tr(L_s · dU_s · R_s) = Tr((R_s·L_s) · dU_s)
@@ -281,7 +278,6 @@ func (o *objective) Gradient(x, grad []float64) float64 {
 	g := cmat.TraceMulDagger(o.target, o.fwd[o.nSeg-1])
 	f := (real(g)*real(g) + imag(g)*imag(g)) / (d * d)
 
-	firstOrder := o.opts.Gradient == GradientFirstOrder
 	for s := 0; s < o.nSeg; s++ {
 		cmat.MulInto(o.left, o.targetDag, o.bwd[s])
 		right := o.id
@@ -290,23 +286,7 @@ func (o *objective) Gradient(x, grad []float64) float64 {
 		}
 		cmat.MulInto(o.rl, right, o.left)
 
-		if firstOrder {
-			// ∂U_s ≈ −i·dt·H_c·U_s ⇒ dG = −i·dt·Tr(U_s·RL·H_c)
-			//       = −i·dt·Σₖ Hc[r_k][s_k]·T1[s_k][r_k].
-			cmat.MulInto(o.t1, o.props[s], o.rl)
-			for c := 0; c < o.nCtl; c++ {
-				nz := &o.ctlNZ[c]
-				var tr complex128
-				for k, it := range nz.idxT {
-					tr += o.t1.Data[it] * nz.val[k]
-				}
-				dG := complex(0, -o.dt) * tr
-				grad[s*o.nCtl+c] = -(2 / (d * d)) * (real(g)*real(dG) + imag(g)*imag(dG))
-			}
-			continue
-		}
-
-		// Exact eigenbasis path, restructured so all O(n³) work is shared
+		// Eigenbasis derivative, restructured so all O(n³) work is shared
 		// across controls. With M = V†·(R·L)·V and
 		// W[j][i] = M[i][j]·(−i·dt)·Γ[j][i],
 		//
@@ -354,7 +334,7 @@ func (o *objective) Gradient(x, grad []float64) float64 {
 // ampPenalty adds a soft quadratic wall beyond ±MaxAmp; if grad is non-nil
 // the penalty derivative is accumulated into it.
 func (o *objective) ampPenalty(x []float64, grad []float64) float64 {
-	w := o.opts.AmpPenaltyWeight
+	const w = ampPenaltyWeight
 	umax := o.sys.MaxAmp
 	var pen float64
 	for i, u := range x {

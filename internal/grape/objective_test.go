@@ -175,14 +175,14 @@ func TestWorkspacePathMatchesPerCallReference(t *testing.T) {
 				}
 			}
 			ev := obj.Evaluate(x)
-			refEv := refEvaluate(setup.sys, setup.target, obj.dt, obj.nSeg, obj.nCtl, opts.AmpPenaltyWeight, x)
+			refEv := refEvaluate(setup.sys, setup.target, obj.dt, obj.nSeg, obj.nCtl, ampPenaltyWeight, x)
 			if ev != refEv {
 				t.Fatalf("%s trial %d: Evaluate %v != reference %v", name, trial, ev, refEv)
 			}
 			// Gradient at the same x exercises the shared forward pass;
 			// cost and gradient must still match the reference exactly.
 			cost := obj.Gradient(x, grad)
-			refCost := refGradient(setup.sys, setup.target, obj.dt, obj.nSeg, obj.nCtl, opts.AmpPenaltyWeight, x, refGrad)
+			refCost := refGradient(setup.sys, setup.target, obj.dt, obj.nSeg, obj.nCtl, ampPenaltyWeight, x, refGrad)
 			if cost != refCost {
 				t.Fatalf("%s trial %d: Gradient cost %v != reference %v", name, trial, cost, refCost)
 			}
@@ -224,27 +224,23 @@ func TestObjectiveZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGradientFiniteDifferenceBothModes checks both derivative formulas
-// against central differences at tolerance 1e-6 on one- and two-qubit
-// systems. The first-order formula is exact only in the dt→0 limit, so its
-// cases use a fine grid where its O(dt) truncation error sits below the
-// tolerance; the exact mode is checked at working segment lengths.
+// TestGradientFiniteDifferenceBothModes checks the exact gradient against
+// central differences at tolerance 1e-6, on one- and two-qubit systems at
+// working segment lengths, every component. (The name dates from a second,
+// first-order gradient formula, since deleted.)
 func TestGradientFiniteDifferenceBothModes(t *testing.T) {
 	cases := []struct {
 		name     string
 		sys      *hamiltonian.System
 		target   *cmat.Matrix
 		duration float64
-		mode     GradientMode
 	}{
-		{"exact-1q", oneQ(), gateU(t, gate.H), 60, GradientExact},
-		{"exact-2q", twoQ(), gateU(t, gate.CX), 400, GradientExact},
-		{"first-order-1q", oneQ(), gateU(t, gate.H), 0.08, GradientFirstOrder},
-		{"first-order-2q", twoQ(), gateU(t, gate.CX), 0.08, GradientFirstOrder},
+		{"exact-1q", oneQ(), gateU(t, gate.H), 60},
+		{"exact-2q", twoQ(), gateU(t, gate.CX), 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Segments: 8, Gradient: tc.mode, Seed: 11}.withDefaults()
+			opts := Options{Segments: 8, Seed: 11}.withDefaults()
 			obj := newObjective(tc.sys, tc.target, tc.duration, opts)
 			x := obj.initialVector(nil)
 			for i := range x {

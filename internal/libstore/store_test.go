@@ -1,10 +1,8 @@
 package libstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -396,19 +394,13 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 	// JSON payload (with a correct checksum) that decodes but fails pulse
 	// validation.
 	badPulse := []byte(`{"entries":{"k":{"key":"k","num_qubits":1,"pulse":{"labels":["x0"],"amps":[[1,2]],"dt_ns":-1},"latency_ns":1}}}`)
-	hdr := make([]byte, headerLen)
-	copy(hdr, "AQLS")
-	hdr[4] = snapshotVersion
-	hdr[5] = byte(FormatJSON)
-	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(badPulse))
-	if _, _, err := LoadSnapshotFingerprint(write("bad-pulse", append(hdr, badPulse...))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadSnapshotFingerprint(write("bad-pulse", sealSnapshot(byte(FormatJSON), "", badPulse))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad-pulse: err = %v, want ErrCorrupt", err)
 	}
 	// Entry filed under a map key different from its own Key (would be
 	// silently re-keyed by AddLibrary if accepted).
 	mismatched := []byte(`{"entries":{"other":{"key":"k","num_qubits":1,"pulse":{"labels":["x0"],"amps":[[1,2]],"dt_ns":2},"latency_ns":1}}}`)
-	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(mismatched))
-	if _, _, err := LoadSnapshotFingerprint(write("key-mismatch", append(hdr, mismatched...))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadSnapshotFingerprint(write("key-mismatch", sealSnapshot(byte(FormatJSON), "", mismatched))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("key-mismatch: err = %v, want ErrCorrupt", err)
 	}
 	// Missing file surfaces the os error, not ErrCorrupt.

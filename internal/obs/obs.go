@@ -101,15 +101,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// LinearBuckets returns count bounds start, start+width, ...
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns count bounds start, start·factor, ...
 func ExponentialBuckets(start, factor float64, count int) []float64 {
 	out := make([]float64, count)
@@ -297,19 +288,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // With returns the counter cell for the given label values.
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.cellFor(labelValues).counter
-}
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, gaugeType, labels, nil)}
-}
-
-// With returns the gauge cell for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.cellFor(labelValues).gauge
 }
 
 // HistogramVec is a histogram family with labels.

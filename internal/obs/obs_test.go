@@ -162,7 +162,7 @@ func TestHandlerContentType(t *testing.T) {
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("conc_total", "x")
-	h := r.Histogram("conc_hist", "x", LinearBuckets(0, 1, 4))
+	h := r.Histogram("conc_hist", "x", []float64{0, 1, 2, 3})
 	g := r.Gauge("conc_gauge", "x")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

@@ -117,7 +117,8 @@ func updateInverseHessian(hInv, s, y, hy []float64, sy float64, n int) {
 	}
 }
 
-// MinimizeLBFGS runs limited-memory BFGS with the two-loop recursion.
+// MinimizeLBFGS runs limited-memory BFGS with the two-loop recursion over
+// the last lbfgsMemory steps.
 func MinimizeLBFGS(obj Objective, x0 []float64, opts Options) *Result {
 	return minimizeLBFGS(obj, x0, opts, wolfeLineSearch)
 }
@@ -126,7 +127,6 @@ func minimizeLBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSea
 	opts = opts.withDefaults()
 	st := newRunState(opts)
 	n := len(x0)
-	m := opts.Memory
 	x := append([]float64(nil), x0...)
 	grad := make([]float64, n)
 	cost := obj.Gradient(x, grad)
@@ -138,7 +138,7 @@ func minimizeLBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSea
 	dir := make([]float64, n)
 	xNew := make([]float64, n)
 	gradNew := make([]float64, n)
-	alphas := make([]float64, m+1)
+	alphas := make([]float64, lbfgsMemory+1)
 	// History slices evicted from the ring are recycled here instead of
 	// re-allocated every accepted step.
 	var spareS, spareY []float64
@@ -199,7 +199,7 @@ func minimizeLBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSea
 			sHist = append(sHist, s)
 			yHist = append(yHist, y)
 			rhoHist = append(rhoHist, 1/sy)
-			if len(sHist) > m {
+			if len(sHist) > lbfgsMemory {
 				spareS, spareY = sHist[0], yHist[0]
 				sHist = sHist[1:]
 				yHist = yHist[1:]

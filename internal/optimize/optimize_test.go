@@ -47,21 +47,25 @@ func (rosenbrock) Gradient(x, grad []float64) float64 {
 	return a*a + 100*b*b
 }
 
-func methods() []Method { return []Method{GD, ADAM, BFGS, LBFGS} }
+func methods() []Method { return []Method{BFGS, LBFGS} }
 
 func TestAllMethodsQuadratic(t *testing.T) {
-	q := quadratic{a: []float64{1, -2, 3}, c: []float64{1, 4, 0.5}}
-	for _, m := range methods() {
-		res, err := Minimize(m, q, []float64{0, 0, 0}, Options{MaxIterations: 3000, GradTol: 1e-10, LearningRate: 0.05})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if res.Cost > 1e-8 {
-			t.Errorf("%s: cost %v after %d iters (%s)", m, res.Cost, res.Iterations, res.Reason)
-		}
-		for i, want := range q.a {
-			if math.Abs(res.X[i]-want) > 1e-3 {
-				t.Errorf("%s: x[%d] = %v, want %v", m, i, res.X[i], want)
+	for _, q := range []quadratic{
+		{a: []float64{1, -2, 3}, c: []float64{1, 4, 0.5}},
+		{a: []float64{1, 1}, c: []float64{1, 1000}}, // ill-conditioned
+	} {
+		for _, m := range methods() {
+			res, err := Minimize(m, q, make([]float64, len(q.a)), Options{MaxIterations: 3000, GradTol: 1e-10})
+			if err != nil {
+				t.Fatalf("%s: %v", m, err)
+			}
+			if res.Cost > 1e-8 {
+				t.Errorf("%s on c=%v: cost %v after %d iters (%s)", m, q.c, res.Cost, res.Iterations, res.Reason)
+			}
+			for i, want := range q.a {
+				if math.Abs(res.X[i]-want) > 1e-3 {
+					t.Errorf("%s on c=%v: x[%d] = %v, want %v", m, q.c, i, res.X[i], want)
+				}
 			}
 		}
 	}
@@ -87,20 +91,6 @@ func TestLBFGSRosenbrock(t *testing.T) {
 	}
 }
 
-func TestBFGSBeatsGDOnIllConditioned(t *testing.T) {
-	q := quadratic{a: []float64{1, 1}, c: []float64{1, 1000}}
-	opts := Options{MaxIterations: 500, GradTol: 1e-12, LearningRate: 0.0005}
-	gd := GradientDescent(q, []float64{0, 0}, opts)
-	bf := MinimizeBFGS(q, []float64{0, 0}, opts)
-	if bf.Iterations >= gd.Iterations && gd.Converged {
-		t.Errorf("BFGS (%d iters) should beat GD (%d iters) on ill-conditioned quadratic",
-			bf.Iterations, gd.Iterations)
-	}
-	if bf.Cost > 1e-10 {
-		t.Fatalf("BFGS cost %v", bf.Cost)
-	}
-}
-
 func TestTargetCostStopsEarly(t *testing.T) {
 	q := quadratic{a: []float64{5}, c: []float64{1}}
 	res := MinimizeBFGS(q, []float64{0}, Options{MaxIterations: 100, TargetCost: 1e-3})
@@ -113,7 +103,7 @@ func TestTargetCostStopsEarly(t *testing.T) {
 }
 
 func TestIterationCap(t *testing.T) {
-	res := Adam(rosenbrock{}, []float64{-1.2, 1}, Options{MaxIterations: 3, LearningRate: 1e-4})
+	res := MinimizeBFGS(rosenbrock{}, []float64{-1.2, 1}, Options{MaxIterations: 3})
 	if res.Iterations != 3 || res.Converged {
 		t.Fatalf("expected iteration cap at 3: %+v", res)
 	}

@@ -52,17 +52,23 @@ func (p *Pulse) Clone() *Pulse {
 	return out
 }
 
-// Validate checks rectangular shape and a positive time step.
+// Validate checks rectangular shape, a positive finite time step and
+// finite amplitudes.
 func (p *Pulse) Validate() error {
-	if p.Dt <= 0 {
-		return fmt.Errorf("pulse: non-positive dt %v", p.Dt)
+	if !(p.Dt > 0) || math.IsInf(p.Dt, 1) {
+		return fmt.Errorf("pulse: dt %v is not positive and finite", p.Dt)
 	}
 	if len(p.Amps) != len(p.Labels) {
 		return fmt.Errorf("pulse: %d channels vs %d labels", len(p.Amps), len(p.Labels))
 	}
-	for c := 1; c < len(p.Amps); c++ {
-		if len(p.Amps[c]) != len(p.Amps[0]) {
-			return fmt.Errorf("pulse: ragged channel %d: %d segments vs %d", c, len(p.Amps[c]), len(p.Amps[0]))
+	for c, ch := range p.Amps {
+		if len(ch) != len(p.Amps[0]) {
+			return fmt.Errorf("pulse: ragged channel %d: %d segments vs %d", c, len(ch), len(p.Amps[0]))
+		}
+		for s, a := range ch {
+			if math.IsNaN(a) || math.IsInf(a, 0) {
+				return fmt.Errorf("pulse: channel %d segment %d amplitude %v is not finite", c, s, a)
+			}
 		}
 	}
 	return nil
@@ -128,40 +134,6 @@ func (p *Pulse) Resample(segments int, dt float64) *Pulse {
 		}
 	}
 	return out
-}
-
-// Concat appends q after p. The pulses must have identical channel labels
-// and time step.
-func Concat(p, q *Pulse) (*Pulse, error) {
-	if len(p.Labels) != len(q.Labels) {
-		return nil, fmt.Errorf("pulse: channel mismatch %d vs %d", len(p.Labels), len(q.Labels))
-	}
-	for i := range p.Labels {
-		if p.Labels[i] != q.Labels[i] {
-			return nil, fmt.Errorf("pulse: label mismatch %q vs %q", p.Labels[i], q.Labels[i])
-		}
-	}
-	if p.Dt != q.Dt {
-		return nil, fmt.Errorf("pulse: dt mismatch %v vs %v", p.Dt, q.Dt)
-	}
-	out := New(p.Labels, p.Segments()+q.Segments(), p.Dt)
-	for c := range out.Amps {
-		copy(out.Amps[c], p.Amps[c])
-		copy(out.Amps[c][p.Segments():], q.Amps[c])
-	}
-	return out, nil
-}
-
-// Energy returns Σ u²·dt, a smoothness/power figure of merit used by
-// regularized objectives and reports.
-func (p *Pulse) Energy() float64 {
-	var e float64
-	for _, ch := range p.Amps {
-		for _, a := range ch {
-			e += a * a
-		}
-	}
-	return e * p.Dt
 }
 
 // MarshalJSON/UnmarshalJSON use the natural field encoding; Pulse is a

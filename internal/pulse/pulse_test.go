@@ -39,6 +39,19 @@ func TestValidateRejectsBadPulses(t *testing.T) {
 	if err := q.Validate(); err == nil {
 		t.Fatal("ragged channels accepted")
 	}
+	for _, dt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := New([]string{"x"}, 4, dt)
+		if err := r.Validate(); err == nil {
+			t.Errorf("dt %v accepted", dt)
+		}
+	}
+	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := New([]string{"x", "y"}, 4, 1)
+		r.Amps[1][3] = a
+		if err := r.Validate(); err == nil {
+			t.Errorf("amplitude %v accepted", a)
+		}
+	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -101,42 +114,6 @@ func TestResampleEmpty(t *testing.T) {
 		if a != 0 {
 			t.Fatal("resampling an empty pulse should yield zeros")
 		}
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := ramp(3)
-	b := ramp(2)
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Segments() != 5 {
-		t.Fatalf("concat segments = %d", c.Segments())
-	}
-	if c.Amps[0][3] != 0 || c.Amps[0][4] != 1 {
-		t.Fatalf("concat content wrong: %v", c.Amps[0])
-	}
-}
-
-func TestConcatMismatches(t *testing.T) {
-	a := New([]string{"x"}, 2, 1)
-	b := New([]string{"y"}, 2, 1)
-	if _, err := Concat(a, b); err == nil {
-		t.Fatal("label mismatch accepted")
-	}
-	c := New([]string{"x"}, 2, 2)
-	if _, err := Concat(a, c); err == nil {
-		t.Fatal("dt mismatch accepted")
-	}
-}
-
-func TestEnergy(t *testing.T) {
-	p := New([]string{"x"}, 2, 3)
-	p.Amps[0][0] = 2
-	p.Amps[0][1] = 1
-	if got := p.Energy(); math.Abs(got-15) > 1e-12 { // (4+1)*3
-		t.Fatalf("Energy = %v, want 15", got)
 	}
 }
 

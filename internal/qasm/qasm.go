@@ -8,7 +8,6 @@ package qasm
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -479,15 +478,4 @@ func formatParam(v float64) string {
 		}
 	}
 	return strconv.FormatFloat(v, 'g', 17, 64)
-}
-
-// SortedMixNames returns the gate names of an instruction mix sorted
-// alphabetically, a helper for deterministic table printing.
-func SortedMixNames(mix map[gate.Name]int) []gate.Name {
-	names := make([]gate.Name, 0, len(mix))
-	for n := range mix {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	return names
 }

@@ -108,9 +108,6 @@ func New(fn similarity.Func, ham hamiltonian.Config) *Index {
 	}
 }
 
-// Fn returns the similarity function the index ranks by.
-func (x *Index) Fn() similarity.Func { return x.fn }
-
 // system returns the cached Hamiltonian for a group size, building it on
 // first use.
 func (x *Index) system(numQubits int) (*hamiltonian.System, error) {

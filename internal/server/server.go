@@ -326,9 +326,6 @@ func New(cfg Config) *Server {
 // Registry exposes the device registry (admin surfaces, tests).
 func (s *Server) Registry() *devreg.Registry { return s.registry }
 
-// Service exposes the training tier (tests, future admin surfaces).
-func (s *Server) Service() compilesvc.CompileService { return s.svc }
-
 // Prefetcher exposes the speculative-training driver (tests and replay
 // benchmarks drive its cycle deterministically); nil unless enabled.
 func (s *Server) Prefetcher() *compilesvc.Prefetcher { return s.prefetcher }

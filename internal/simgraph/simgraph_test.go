@@ -2,7 +2,6 @@ package simgraph
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"accqoc/internal/cmat"
@@ -161,29 +160,5 @@ func TestMSTCoversAllVerticesOnce(t *testing.T) {
 	}
 	if len(seen) != g.N {
 		t.Fatalf("order covers %d of %d vertices", len(seen), g.N)
-	}
-}
-
-func TestDOTExport(t *testing.T) {
-	us := []*cmat.Matrix{rzU(t, 0.5), rzU(t, 1.0)}
-	g, _ := Build(us, similarity.TraceFid)
-	mst, err := g.PrimMST(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dot := mst.DOT([]string{"rz(0.5)", "rz(1.0)"})
-	for _, want := range []string{"digraph mst", "identity", "rz(0.5)", "->"} {
-		if !strings.Contains(dot, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-	// Every non-root vertex has exactly one incoming edge.
-	if got := strings.Count(dot, "->"); got != g.N-1 {
-		t.Fatalf("DOT has %d edges, want %d", got, g.N-1)
-	}
-	// Labels needing escaping do not break the output.
-	dot2 := mst.DOT([]string{`a"b`, `c\d`})
-	if !strings.Contains(dot2, `a\"b`) {
-		t.Fatal("quote not escaped")
 	}
 }

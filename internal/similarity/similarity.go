@@ -122,23 +122,3 @@ func WarmThreshold(f Func, dim int) float64 {
 		return 0.3
 	}
 }
-
-// Matrixwise is a convenience for ranking: it computes the distance from
-// one reference to many candidates and returns the index of the most
-// similar candidate (lowest distance). Errors if candidates is empty.
-func Matrixwise(f Func, ref *cmat.Matrix, candidates []*cmat.Matrix) (int, float64, error) {
-	if len(candidates) == 0 {
-		return -1, 0, fmt.Errorf("similarity: no candidates")
-	}
-	bestIdx, bestDist := -1, math.Inf(1)
-	for i, c := range candidates {
-		d, err := Distance(f, ref, c)
-		if err != nil {
-			return -1, 0, err
-		}
-		if d < bestDist {
-			bestIdx, bestDist = i, d
-		}
-	}
-	return bestIdx, bestDist, nil
-}

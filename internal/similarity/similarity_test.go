@@ -130,28 +130,6 @@ func TestDistanceValidation(t *testing.T) {
 	}
 }
 
-func TestMatrixwise(t *testing.T) {
-	ref := gU(t, gate.RZ, 1.0)
-	cands := []*cmat.Matrix{
-		gU(t, gate.RZ, 2.8),
-		gU(t, gate.RZ, 1.05),
-		gU(t, gate.RZ, -2.0),
-	}
-	idx, d, err := Matrixwise(TraceFid, ref, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("best index = %d, want 1", idx)
-	}
-	if d < 0 || d > 1 {
-		t.Fatalf("distance %v out of range", d)
-	}
-	if _, _, err := Matrixwise(TraceFid, ref, nil); err == nil {
-		t.Fatal("empty candidates accepted")
-	}
-}
-
 func TestAllListsFiveFunctions(t *testing.T) {
 	if len(All) != 5 {
 		t.Fatalf("All has %d functions, want 5 (paper Fig. 8)", len(All))

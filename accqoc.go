@@ -29,7 +29,6 @@ import (
 
 	"accqoc/internal/circuit"
 	"accqoc/internal/cmat"
-	"accqoc/internal/crosstalk"
 	"accqoc/internal/grouping"
 	"accqoc/internal/mapping"
 	"accqoc/internal/precompile"
@@ -106,15 +105,13 @@ func (c *Compiler) Options() Options { return c.opts }
 type Prepared struct {
 	// Physical is the mapped, policy-lowered circuit on device qubits.
 	Physical *circuit.Circuit
-	// DAG is Physical's dependency DAG, built once and read by grouping,
-	// the crosstalk metric and Estimate.
+	// DAG is Physical's dependency DAG, built once and read by grouping
+	// and Estimate.
 	DAG *circuit.DAG
 	// MapResult carries layouts and swap statistics.
 	MapResult *mapping.Result
 	// Grouping is the policy division of Physical with its group DAG.
 	Grouping *grouping.Grouping
-	// CrosstalkMetric counts close concurrent CX pairs (§VI-C).
-	CrosstalkMetric int
 }
 
 // Prepare runs the front end: Toffoli decomposition, crosstalk-aware
@@ -137,13 +134,7 @@ func (c *Compiler) Prepare(prog *circuit.Circuit) (*Prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("accqoc: %w", err)
 	}
-	return &Prepared{
-		Physical:        phys,
-		DAG:             dag,
-		MapResult:       mapped,
-		Grouping:        gr,
-		CrosstalkMetric: crosstalk.MetricDAG(dag, c.opts.Device),
-	}, nil
+	return &Prepared{Physical: phys, DAG: dag, MapResult: mapped, Grouping: gr}, nil
 }
 
 // ProfileResult summarizes static pre-compilation.

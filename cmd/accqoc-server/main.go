@@ -84,7 +84,6 @@ func main() {
 	jobTTL := flag.Duration("job-ttl", 15*time.Minute, "how long finished async jobs stay pollable before eviction")
 	jobCap := flag.Int("job-cap", 1024, "async job store capacity (a store full of live jobs answers 503)")
 	capacity := flag.Int("capacity", 0, "library entry capacity per namespace, LRU-evicted beyond it (0 = unlimited)")
-	shards := flag.Int("shards", 16, "library shard count")
 	maxGates := flag.Int("max-gates", 4096, "per-request gate budget")
 	fidelity := flag.Float64("fidelity", 1e-3, "GRAPE target infidelity")
 	maxIter := flag.Int("max-iter", 600, "GRAPE iteration cap per optimization")
@@ -175,8 +174,6 @@ func main() {
 		fatal("unknown -lib-format (want gob or json)", "format", *format)
 	}
 
-	storeOpts := libstore.Options{Shards: *shards, Capacity: *capacity}
-
 	srv := server.New(server.Config{
 		Compile: accqoc.Options{
 			Device: dev,
@@ -186,8 +183,7 @@ func main() {
 				Grape: grape.Options{TargetInfidelity: *fidelity, MaxIterations: *maxIter},
 			},
 		},
-		Store:             libstore.New(storeOpts),
-		StoreOptions:      storeOpts,
+		StoreOptions:      libstore.Options{Capacity: *capacity},
 		DeviceName:        *deviceName,
 		Devices:           extras,
 		BootSnapshot:      *libPath,
@@ -308,8 +304,7 @@ func main() {
 	go func() {
 		logger.Info("accqoc-server listening",
 			"component", "main", "addr", *addr, "device", dev.Name,
-			"extra_devices", len(extras), "policy", policy.Name,
-			"shards", *shards)
+			"extra_devices", len(extras), "policy", policy.Name)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal("listen failed", "addr", *addr, "error", err.Error())
 		}

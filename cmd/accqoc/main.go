@@ -27,6 +27,7 @@ import (
 
 	"accqoc"
 	"accqoc/internal/circuit"
+	"accqoc/internal/crosstalk"
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
 	"accqoc/internal/libstore"
@@ -115,7 +116,7 @@ func main() {
 	fmt.Printf("program: %s (%d qubits, %d gates)\n", *in, prog.NumQubits, prog.GateCount())
 	fmt.Printf("device:  %s, policy %s\n", dev.Name, policy.Name)
 	fmt.Printf("mapped:  %d gates, %d swaps inserted, crosstalk metric %d\n",
-		res.Physical.GateCount(), res.MapResult.SwapCount, res.CrosstalkMetric)
+		res.Physical.GateCount(), res.MapResult.SwapCount, crosstalk.MetricDAG(res.DAG, dev))
 	fmt.Printf("groups:  %d occurrences, coverage %.1f%% (%d covered), %d uncovered unique\n",
 		res.TotalGroups, 100*res.CoverageRate, res.CoveredGroups, res.UncoveredUnique)
 	fmt.Printf("training: %d GRAPE iterations in %v\n", res.TrainingIterations, res.TrainingTime.Round(time.Millisecond))

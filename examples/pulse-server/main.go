@@ -19,7 +19,6 @@ import (
 	"accqoc"
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
-	"accqoc/internal/libstore"
 	"accqoc/internal/precompile"
 	"accqoc/internal/server"
 	"accqoc/internal/topology"
@@ -36,8 +35,7 @@ h q[2];
 `
 
 func main() {
-	store := libstore.New(libstore.Options{Shards: 8})
-	srv := server.New(server.Config{Compile: fastOptions(), Store: store, Workers: 4})
+	srv := server.New(server.Config{Compile: fastOptions(), Workers: 4})
 	defer srv.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -59,8 +57,7 @@ func main() {
 
 	// 2. Re-warm a fresh server concurrently to show singleflight: all four
 	// clients need the same groups, the store trains each exactly once.
-	store2 := libstore.New(libstore.Options{Shards: 8})
-	srv2 := server.New(server.Config{Compile: fastOptions(), Store: store2, Workers: 4})
+	srv2 := server.New(server.Config{Compile: fastOptions(), Workers: 4})
 	defer srv2.Close()
 	ln2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -77,7 +74,7 @@ func main() {
 		go func() { defer wg.Done(); compileOnce(base2) }()
 	}
 	wg.Wait()
-	st2 := store2.Stats()
+	st2 := srv2.Store().Stats()
 	fmt.Printf("\n4 concurrent duplicate clients on a cold server:\n")
 	fmt.Printf("       trainings %d (exactly one per unique group), deduped %d, entries %d\n",
 		st2.Trainings, st2.DedupSuppressed, st2.Entries)

@@ -3,16 +3,17 @@
 // warm-started training through the namespace store's singleflight,
 // Algorithm 3 schedule assembly) behind its own bounded worker pool.
 //
-// The routing tier (internal/server) speaks only the CompileService
-// interface: asynchronous jobs enter through Submit, where requests
-// against the same namespace are batched for one shared resolveGroups
-// pass; a synchronous request blocks on Do, which serves it as a batch of
-// one; calibration rolls feed one item at a time through Recompile.
-// Every request, sync or async, runs through the one executor, serve.
-// Queue depth, in-flight work and the warm-seeding counter are read back
-// through the same interface, so the HTTP layer never touches pool
-// internals; the seam is exactly what a later multi-process split
-// (consistent-hashed training nodes) needs.
+// The routing tier (internal/server) reaches it only through Pool's
+// methods: asynchronous jobs enter through Submit, where requests against
+// the same namespace are batched for one shared resolveGroups pass; a
+// synchronous request blocks on Do, which serves it as a batch of one;
+// calibration rolls feed one item at a time through Recompile. Every
+// request, sync or async, runs through the one executor, serve. Queue
+// depth, in-flight work and the warm-seeding counter are read back
+// through the same methods, so the HTTP layer never touches pool
+// internals. Pool is the tier's one implementation; an interface over it
+// (for a multi-process split across consistent-hashed training nodes)
+// belongs with a second implementation.
 package compilesvc
 
 import (
@@ -35,48 +36,6 @@ var (
 	// down); it also answers tasks swept out of the queue by Close.
 	ErrClosed = errors.New("server shutting down")
 )
-
-// CompileService is the seam between the routing tier and the training
-// tier. Implementations must be safe for concurrent use from handler
-// goroutines, roll drivers, and shutdown paths.
-type CompileService interface {
-	// Do runs one request synchronously: enqueue it as a batch of one,
-	// wait for a worker, and return the finished result. It fails fast
-	// with ErrQueueFull or ErrClosed before any work happens.
-	Do(req *Request) (*Result, error)
-
-	// Submit enqueues one request asynchronously. Concurrent submissions
-	// against the same namespace are batched within the configured window
-	// and resolved in one shared resolveGroups pass. At worker pickup,
-	// start is invoked first: returning false vetoes the request (it was
-	// canceled) and NO other callback runs — cleanup on veto belongs to
-	// start. Otherwise done is invoked exactly once with the result or
-	// error (ErrClosed when the service shut down before the work ran).
-	// Submit itself returns ErrClosed when the service is already
-	// closing; then neither callback runs.
-	Submit(req *Request, start func() bool, done func(*Result, error)) error
-
-	// Recompile runs one cross-epoch recompilation item on the pool and
-	// blocks until it is processed (ErrQueueFull when the pool is busy —
-	// request traffic has priority; ErrClosed during shutdown).
-	Recompile(roll *devreg.Roll, it *devreg.RecompItem) error
-
-	// QueueLen and QueueCap report the compile queue's depth and bound;
-	// Workers the pool size; InFlight the tasks currently executing.
-	QueueLen() int
-	QueueCap() int
-	Workers() int
-	InFlight() int
-
-	// WarmSeeded totals trainings (serving and roll paths alike) that
-	// started from a similarity-admitted seed.
-	WarmSeeded() int64
-
-	// Close drains queued work, answers stragglers with ErrClosed, and
-	// stops the workers. Pending async batches that never reached a
-	// worker fail their done callbacks with ErrClosed.
-	Close()
-}
 
 // Config assembles a Pool.
 type Config struct {
@@ -113,7 +72,9 @@ type task struct {
 	fail func(error)
 }
 
-// Pool is the worker-pool CompileService.
+// Pool is the training tier's bounded worker pool. It is safe for
+// concurrent use from handler goroutines, roll drivers, and shutdown
+// paths.
 type Pool struct {
 	cfg   Config
 	tasks chan *task
@@ -133,8 +94,6 @@ type Pool struct {
 	closed    bool
 	closeOnce sync.Once
 }
-
-var _ CompileService = (*Pool)(nil)
 
 // New builds a pool and starts its workers.
 func New(cfg Config) *Pool {
@@ -193,7 +152,9 @@ func (p *Pool) worker() {
 }
 
 // Do runs one request synchronously through the pool: a batch of one,
-// enqueued at once with no batching window.
+// enqueued at once with no batching window. It waits for a worker and
+// returns the finished result, or fails fast with ErrQueueFull or
+// ErrClosed before any work happens.
 func (p *Pool) Do(req *Request) (*Result, error) {
 	type answer struct {
 		res *Result
@@ -212,13 +173,23 @@ func (p *Pool) Do(req *Request) (*Result, error) {
 }
 
 // Submit enqueues one request for asynchronous, batched execution.
+// Concurrent submissions against the same namespace are batched within
+// the configured window and resolved in one shared resolveGroups pass. At
+// worker pickup, start is invoked first: returning false vetoes the
+// request (it was canceled) and NO other callback runs — cleanup on veto
+// belongs to start. Otherwise done is invoked exactly once with the
+// result or error (ErrClosed when the pool shut down before the work
+// ran). Submit itself returns ErrClosed when the pool is already closing;
+// then neither callback runs.
 func (p *Pool) Submit(req *Request, start func() bool, done func(*Result, error)) error {
 	return p.batcher.add(req, start, done)
 }
 
-// Recompile runs one roll item on the pool, blocking until processed.
-// The new store's singleflight arbitrates against request traffic: a key
-// a serving-path miss already covered (or is covering) counts skipped.
+// Recompile runs one roll item on the pool, blocking until processed. It
+// returns ErrQueueFull when the pool is busy (request traffic has
+// priority) and ErrClosed during shutdown. The new store's singleflight
+// arbitrates against request traffic: a key a serving-path miss already
+// covered (or is covering) counts skipped.
 func (p *Pool) Recompile(roll *devreg.Roll, it *devreg.RecompItem) error {
 	return p.runOne(func() {
 		out, iters, seeded := p.retrain(roll.New, it.Key, it.Unitary, func() *precompile.Entry { return it.Old })
@@ -252,11 +223,13 @@ func (p *Pool) Workers() int { return p.cfg.Workers }
 // InFlight reports tasks currently executing on a worker.
 func (p *Pool) InFlight() int { return int(p.inFlight.Load()) }
 
-// WarmSeeded totals seed-admitted trainings across the pool's lifetime.
+// WarmSeeded totals trainings (serving and roll paths alike) that started
+// from a similarity-admitted seed, across the pool's lifetime.
 func (p *Pool) WarmSeeded() int64 { return p.warmSeeded.Load() }
 
-// Close stops the pool after draining queued tasks. Unflushed async
-// batches and tasks swept out of the queue are answered with ErrClosed.
+// Close stops the pool after draining queued tasks: queued work runs,
+// and unflushed async batches and tasks swept out of the queue are
+// answered with ErrClosed (their done callbacks fail with it).
 func (p *Pool) Close() {
 	p.closeMu.Lock()
 	p.closed = true

@@ -33,7 +33,7 @@ func newNamespace(t *testing.T) *devreg.Namespace {
 			Search1Q: grape.SearchOptions{MinDuration: 10, MaxDuration: 120, Resolution: 20},
 			Search2Q: grape.SearchOptions{MinDuration: 200, MaxDuration: 1400, Resolution: 200},
 		},
-	}}, devreg.Profile{}, nil)
+	}}, devreg.Profile{})
 	if err != nil {
 		t.Fatal(err)
 	}

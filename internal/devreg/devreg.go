@@ -269,12 +269,10 @@ type Registry struct {
 	def     string
 }
 
-// New builds a registry holding the default device, whose epoch-0 library
-// is store (nil creates a fresh one — e.g. a snapshot-preloaded store
-// adopted from the server config). The default profile's Device falls
-// back to the Base options' device (or Melbourne) and its Name to
-// "default".
-func New(cfg Config, def Profile, store *libstore.Store) (*Registry, error) {
+// New builds a registry holding the default device at epoch 0 with an
+// empty library. The default profile's Device falls back to the Base
+// options' device (or Melbourne) and its Name to "default".
+func New(cfg Config, def Profile) (*Registry, error) {
 	if def.Name == "" {
 		def.Name = "default"
 	}
@@ -285,7 +283,7 @@ func New(cfg Config, def Profile, store *libstore.Store) (*Registry, error) {
 		def.Device = topology.Melbourne()
 	}
 	r := &Registry{cfg: cfg, devices: map[string]*deviceState{}}
-	if err := r.register(def, store); err != nil {
+	if err := r.Register(def); err != nil {
 		return nil, err
 	}
 	r.def = def.Name
@@ -302,9 +300,7 @@ func (r *Registry) DefaultName() string {
 
 // Register adds a device profile at epoch 0 with an empty library.
 // Registering an existing name is an error.
-func (r *Registry) Register(p Profile) error { return r.register(p, nil) }
-
-func (r *Registry) register(p Profile, store *libstore.Store) error {
+func (r *Registry) Register(p Profile) error {
 	if p.Name == "" {
 		return fmt.Errorf("devreg: device profile needs a name")
 	}
@@ -327,7 +323,7 @@ func (r *Registry) register(p Profile, store *libstore.Store) error {
 	if r.cfg.EnablePrefetch {
 		d.targets = NewTargetCache(prefetchTargetCap)
 	}
-	d.current = r.newNamespace(d, p, 0, nil, store)
+	d.current = r.newNamespace(d, p, 0, nil)
 	r.devices[p.Name] = d
 	r.order = append(r.order, p.Name)
 	return nil
@@ -348,16 +344,14 @@ func (r *Registry) Current(name string) (*Namespace, error) {
 	return ns, nil
 }
 
-// newNamespace wires one (device, epoch) serving context: compiler, store,
-// and a hook-coherent seed index whose parent is the previous epoch's
-// index.
-func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *seedindex.Index, store *libstore.Store) *Namespace {
+// newNamespace wires one (device, epoch) serving context: compiler, an
+// empty store, and a hook-coherent seed index whose parent is the previous
+// epoch's index.
+func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *seedindex.Index) *Namespace {
 	opts := r.cfg.Base
 	opts.Device = p.Device
 	opts.Precompile.Ham = p.Ham
-	if store == nil {
-		store = libstore.New(r.cfg.StoreOptions)
-	}
+	store := libstore.New(r.cfg.StoreOptions)
 	ns := &Namespace{
 		DeviceName: d.name,
 		Epoch:      epoch,
@@ -369,18 +363,14 @@ func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *se
 		Targets:    d.targets,
 		dev:        d,
 	}
-	if d.policy != nil {
-		store.SetEvictionPolicy(d.policy)
-	}
 	seeds := seedindex.New(ns.SimilarityFn(), p.Ham)
 	seeds.SetParent(parent)
 	if r.cfg.SeedObserver != nil {
 		seeds.SetObserver(r.cfg.SeedObserver)
 	}
-	// Hook first, backfill second: entries racing in between are
-	// delivered twice (idempotent in both the index and the ledger),
-	// never missed. The tee keeps the seed index and the device's usage
-	// ledger coherent off one registration; access (hit/miss) events
+	// The store is empty and not yet shared, so the hooks see every entry
+	// it will ever hold. The tee keeps the seed index and the device's
+	// usage ledger coherent off one registration; access (hit/miss) events
 	// reach only the ledger.
 	hooks := []libstore.Hook{seeds, d.usage}
 	if d.targets != nil {
@@ -389,9 +379,9 @@ func (r *Registry) newNamespace(d *deviceState, p Profile, epoch int, parent *se
 		hooks = append(hooks, &targetRecorder{seeds: seeds, targets: d.targets})
 	}
 	store.SetHook(libstore.TeeHooks(hooks...))
-	snap := store.Snapshot()
-	seeds.AddLibrary(snap)
-	d.usage.AddLibrary(snap)
+	if d.policy != nil {
+		store.SetEvictionPolicy(d.policy)
+	}
 	ns.Seeds = seeds
 	return ns
 }
@@ -482,7 +472,7 @@ func (r *Registry) Status() []DeviceStatus {
 			st.DrainingRefs = d.draining.refs.Load()
 		}
 		d.mu.Unlock()
-		// Store stats outside the device lock: they take shard locks.
+		// Store stats outside the device lock: they take the store's lock.
 		st.Library = ns.Store.Stats()
 		st.Entries = st.Library.Entries
 		out = append(out, st)
@@ -603,7 +593,7 @@ func (r *Registry) Calibrate(name string, u CalibrationUpdate) (*Roll, error) {
 	old.retiring.Store(true)
 
 	epoch := old.Epoch + 1
-	next := r.newNamespace(d, p, epoch, old.Seeds, nil)
+	next := r.newNamespace(d, p, epoch, old.Seeds)
 	d.draining = old
 	d.current = next
 

@@ -7,7 +7,6 @@ import (
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
 	"accqoc/internal/hamiltonian"
-	"accqoc/internal/libstore"
 	"accqoc/internal/precompile"
 	"accqoc/internal/qasm"
 	"accqoc/internal/topology"
@@ -27,7 +26,7 @@ func fastBase() accqoc.Options {
 
 func newTestRegistry(t *testing.T) *Registry {
 	t.Helper()
-	r, err := New(Config{Base: fastBase()}, Profile{Name: "lin3", Device: topology.Linear(3)}, nil)
+	r, err := New(Config{Base: fastBase()}, Profile{Name: "lin3", Device: topology.Linear(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,21 +325,6 @@ func TestRollSuperseded(t *testing.T) {
 		t.Fatalf("superseded roll mutated the live status: %+v → %+v", before, after)
 	}
 	roll1.Finish()
-}
-
-func TestRegistryAdoptsPreloadedStore(t *testing.T) {
-	store := libstore.New(libstore.Options{})
-	r, err := New(Config{Base: fastBase()}, Profile{Name: "lin3", Device: topology.Linear(3)}, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns, err := r.Current("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Store != store {
-		t.Fatal("default namespace did not adopt the provided store")
-	}
 }
 
 // TestDeviceLookupsShareOneRule: every per-device lookup routes "" to the

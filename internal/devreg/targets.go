@@ -86,7 +86,7 @@ func (t *TargetCache) Len() int {
 
 // targetRecorder is the store hook feeding the cache. It must sit in the
 // tee AFTER the seed index: EntryAdded callbacks run in tee order under
-// the same shard lock, so by the time the recorder asks, the index has
+// the same store lock, so by the time the recorder asks, the index has
 // already cached the entry's unitary. Removals are ignored on purpose —
 // outliving eviction is the cache's whole job.
 type targetRecorder struct {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"accqoc/internal/precompile"
+	"accqoc/internal/usage"
 )
 
 // benchStore builds a store with n synthetic entries.
@@ -39,11 +40,26 @@ func BenchmarkStoreGetMiss(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreGetHitParallel(b *testing.B) {
-	s := benchStore(1024)
+func BenchmarkStoreGetHitParallel(b *testing.B) { benchmarkGetHitParallel(b, nil) }
+
+// BenchmarkStoreGetHitParallelLedger is the serving configuration: every
+// namespace store carries its device's usage ledger as its access hook,
+// so each hit also takes the ledger's mutex inside the store's.
+func BenchmarkStoreGetHitParallelLedger(b *testing.B) {
+	benchmarkGetHitParallel(b, usage.NewLedger(usage.Options{}))
+}
+
+// benchmarkGetHitParallel runs Get hits on 1024 entries from every
+// GOMAXPROCS goroutine, with h (nil for none) registered before the
+// entries are put.
+func benchmarkGetHitParallel(b *testing.B, h Hook) {
+	s := New(Options{})
+	s.SetHook(h)
 	keys := make([]string, 1024)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%04d", i)
+		e := synthEntry(i)
+		s.Put(e)
+		keys[i] = e.Key
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -128,7 +128,7 @@ func TestLoadIntoCheckedMismatch(t *testing.T) {
 // TestKeysByHits pins the most-requested-first ordering the calibration
 // roll trains in.
 func TestKeysByHits(t *testing.T) {
-	s := New(Options{Shards: 2})
+	s := New(Options{})
 	for i := 0; i < 4; i++ {
 		s.Put(synthEntry(i))
 	}

@@ -1,9 +1,9 @@
 package libstore
 
-// Pluggable eviction: the shard LRU stays the mechanism (recency order,
-// capacity bound, hook delivery), but when a shard must shed an entry the
-// *choice* of victim can be delegated to an EvictionPolicy. With no policy
-// installed the store behaves byte-for-byte as before — the LRU tail goes.
+// Pluggable eviction: the store's LRU stays the mechanism (recency order,
+// capacity bound, hook delivery), but when the store must shed an entry
+// the *choice* of victim can be delegated to an EvictionPolicy. With no
+// policy installed the LRU tail goes.
 //
 // The cost-aware policy here is the ROADMAP's "cost-aware cache policy":
 // eviction by pure recency throws away whatever happens to be old, which
@@ -15,23 +15,22 @@ package libstore
 
 import "sync/atomic"
 
-// EvictionPolicy picks the victim when a shard exceeds its capacity.
-// Victim receives the shard's resident keys in LRU order (least recently
-// used first, so index 0 is the pure-LRU victim) and returns the index of
-// the key to evict; out-of-range returns fall back to index 0. Calls run
-// under the shard lock: implementations must be fast and must not call
-// back into the Store (deadlock), the same contract as Hook.
+// EvictionPolicy picks the victim when the store exceeds its capacity.
+// Victim receives every resident key in LRU order (least recently used
+// first, so index 0 is the pure-LRU victim) and returns the index of the
+// key to evict; out-of-range returns fall back to index 0. Calls run under
+// the store's lock: implementations must be fast and must not call back
+// into the Store (deadlock), the same contract as Hook.
 type EvictionPolicy interface {
 	Victim(keys []string) int
 }
 
-type policyCell struct{ p EvictionPolicy }
-
 // SetEvictionPolicy installs the eviction victim selector (nil restores
-// pure LRU). Safe to call concurrently with store traffic; evictions
-// racing with the swap use whichever policy they load.
+// pure LRU). Evictions after the call use the new policy.
 func (s *Store) SetEvictionPolicy(p EvictionPolicy) {
-	s.policy.Store(&policyCell{p: p})
+	s.mu.Lock()
+	s.policy = p
+	s.mu.Unlock()
 }
 
 // Scorer values resident keys for the cost-aware policy. EntryScore
@@ -39,7 +38,7 @@ func (s *Store) SetEvictionPolicy(p EvictionPolicy) {
 // (iterations×hits in the usage ledger's terms — expensive and popular is
 // worth keeping), tiebreak orders equal scores (raw accumulated training
 // iterations, so among never-hit entries the expensive one survives).
-// Unknown keys return (0, 0). Called under a shard lock, so the same
+// Unknown keys return (0, 0). Called under the store's lock, so the same
 // no-call-back constraint as EvictionPolicy applies.
 type Scorer interface {
 	EntryScore(key string) (score, tiebreak float64)

@@ -28,7 +28,7 @@ func (m mapScorer) EntryScore(key string) (float64, float64) {
 // tail, same as it always has.
 func TestPolicyNilIsPureLRU(t *testing.T) {
 	for _, cleared := range []bool{false, true} {
-		s := New(Options{Shards: 1, Capacity: 2})
+		s := New(Options{Capacity: 2})
 		if cleared {
 			s.SetEvictionPolicy(CostAware(mapScorer{}))
 			s.SetEvictionPolicy(nil)
@@ -49,7 +49,7 @@ func TestPolicyNilIsPureLRU(t *testing.T) {
 func TestPolicyCostAwareVictim(t *testing.T) {
 	scores := mapScorer{"a": {100, 100}, "b": {0, 0}, "c": {50, 50}}
 	pol := CostAware(scores)
-	s := New(Options{Shards: 1, Capacity: 2})
+	s := New(Options{Capacity: 2})
 	s.SetEvictionPolicy(pol)
 	s.Put(keyedEntry("a"))
 	s.Put(keyedEntry("b"))
@@ -77,7 +77,7 @@ func TestPolicyCostAwareVictim(t *testing.T) {
 func TestPolicyTiebreakProtectsExpensiveTraining(t *testing.T) {
 	scores := mapScorer{"cx2q": {0, 667}, "rz1q": {0, 20}, "h1q": {0, 20}}
 	pol := CostAware(scores)
-	s := New(Options{Shards: 1, Capacity: 2})
+	s := New(Options{Capacity: 2})
 	s.SetEvictionPolicy(pol)
 	s.Put(keyedEntry("cx2q")) // oldest
 	s.Put(keyedEntry("rz1q"))
@@ -89,7 +89,7 @@ func TestPolicyTiebreakProtectsExpensiveTraining(t *testing.T) {
 	// All-equal scores: the choice degenerates to LRU order (oldest goes)
 	// and the fallback counter ticks.
 	tied := CostAware(mapScorer{})
-	s2 := New(Options{Shards: 1, Capacity: 2})
+	s2 := New(Options{Capacity: 2})
 	s2.SetEvictionPolicy(tied)
 	s2.Put(keyedEntry("a"))
 	s2.Put(keyedEntry("b"))
@@ -104,10 +104,10 @@ func TestPolicyTiebreakProtectsExpensiveTraining(t *testing.T) {
 
 // TestPolicyOutOfRangeFallsBack pins the seam's contract: a policy
 // returning a nonsense index degrades to the LRU tail instead of
-// corrupting the shard.
+// corrupting the store.
 func TestPolicyOutOfRangeFallsBack(t *testing.T) {
 	for _, idx := range []int{-1, 99} {
-		s := New(Options{Shards: 1, Capacity: 2})
+		s := New(Options{Capacity: 2})
 		s.SetEvictionPolicy(fixedVictim(idx))
 		for _, k := range []string{"a", "b", "c"} {
 			s.Put(keyedEntry(k))
@@ -127,7 +127,7 @@ func (f fixedVictim) Victim(keys []string) int { return int(f) }
 // policy: least recently used first, most recent (the newcomer) last.
 func TestPolicyVictimSeesLRUOrder(t *testing.T) {
 	var seen [][]string
-	s := New(Options{Shards: 1, Capacity: 2})
+	s := New(Options{Capacity: 2})
 	s.SetEvictionPolicy(captureVictim{&seen})
 	s.Put(keyedEntry("a"))
 	s.Put(keyedEntry("b"))

@@ -1,19 +1,19 @@
 // Package libstore provides the shared, long-lived pulse-library artifact
-// of the AccQOC workflow (§IV/§V): a sharded, mutex-striped,
-// content-addressed store of trained pulses. Where precompile.Library is a
-// plain map for single-threaded batch builds, Store is the serving-side
-// wrapper: concurrent lookups stripe across shards, capacity is bounded by
-// per-shard LRU eviction, hit/miss/eviction/training counters feed the
-// server's /v1/library/stats endpoint, and GetOrTrain deduplicates
-// concurrent requests for the same uncompiled gate group so exactly one
-// GRAPE training runs per key (singleflight).
+// of the AccQOC workflow (§IV/§V): a concurrent, content-addressed store of
+// trained pulses. Where precompile.Library is a plain map for
+// single-threaded batch builds, Store is the serving-side wrapper: one
+// mutex guards its map, its LRU list and its in-flight trainings,
+// capacity is bounded by LRU eviction over the whole store,
+// hit/miss/eviction/training counters feed the server's
+// /v1/library/stats endpoint, and GetOrTrain deduplicates concurrent
+// requests for the same uncompiled gate group so exactly one GRAPE
+// training runs per key (singleflight).
 package libstore
 
 import (
 	"container/list"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,54 +21,21 @@ import (
 	"accqoc/internal/precompile"
 )
 
-// Options configures a Store. The zero value selects 16 shards and
-// unlimited capacity.
+// Options configures a Store. The zero value is an unbounded store.
 type Options struct {
-	// Shards is the stripe count, rounded up to a power of two. More
-	// shards mean less lock contention at a small fixed memory cost.
-	Shards int
-	// Capacity bounds the total entry count exactly: per-shard LRU caps
-	// are Capacity/Shards with the remainder spread one-per-shard, so the
-	// caps sum to Capacity. When Capacity is smaller than the shard
-	// count, the shard count is reduced (keeping a power of two) so every
-	// shard can hold at least one entry. A shard whose keys hash hot can
-	// still evict while the store as a whole is under Capacity — inherent
-	// to sharding — but the store never exceeds Capacity. 0 means
-	// unlimited.
+	// Capacity bounds the entry count: an insert past it evicts one
+	// resident entry, the least recently used unless an eviction policy
+	// picks another. 0 (or negative) means unlimited.
 	Capacity int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
-	n := 1
-	for n < o.Shards {
-		n <<= 1
-	}
-	o.Shards = n
-	if o.Capacity < 0 {
-		o.Capacity = 0
-	}
-	if o.Capacity > 0 {
-		// Every shard must be able to hold at least one entry, or keys
-		// hashing to a zero-cap shard could never stay resident. Halving
-		// keeps the count a power of two for mask selection.
-		for o.Shards > o.Capacity {
-			o.Shards >>= 1
-		}
-	}
-	return o
 }
 
 // Hook observes mutations of the store's entry set — the coherence
 // channel for derived structures such as the warm-start seed index.
-// Callbacks run synchronously under the owning shard's lock: mutations
-// for any one key are therefore ordered, but implementations must not
-// call back into the Store (deadlock) and should keep heavy work
-// amortized (the seed index pays one pulse propagation per add, well
-// under the training that produced the entry).
+// Callbacks run synchronously under the store's lock, so mutations are
+// delivered in the order they happen, but implementations must not call
+// back into the Store (deadlock) and should keep heavy work amortized (the
+// seed index pays one pulse propagation per add, well under the training
+// that produced the entry).
 type Hook interface {
 	// EntryAdded fires when a key is inserted or its entry replaced.
 	EntryAdded(e *precompile.Entry)
@@ -79,18 +46,13 @@ type Hook interface {
 // AccessHook is an optional Hook extension observing lookups: EntryHit
 // fires on every Get/GetOrTrain that found the key, EntryMissed on every
 // one that did not (whether the caller then trains, joins an in-flight
-// training, or gives up). Both run under the shard lock with the same
+// training, or gives up). Both run under the store's lock with the same
 // constraints as Hook. Whether a registered Hook implements AccessHook is
 // resolved once at SetHook time, so stores without one pay a single nil
 // check per lookup.
 type AccessHook interface {
 	EntryHit(key string)
 	EntryMissed(key string)
-}
-
-type hookCell struct {
-	h Hook
-	a AccessHook // h's AccessHook view, nil when not implemented
 }
 
 // teeHook fans mutations out to several hooks in order; access events go
@@ -165,32 +127,28 @@ type Stats struct {
 	TrainFailures int64 `json:"train_failures"`
 }
 
-// Store is a sharded concurrent pulse-library store. Entries are treated
-// as immutable once stored: callers must not mutate a returned *Entry.
+// Store is a concurrent pulse-library store. Entries are treated as
+// immutable once stored: callers must not mutate a returned *Entry.
 type Store struct {
-	opts   Options
-	seed   maphash.Seed
-	shards []*shard
-	hook   atomic.Pointer[hookCell]
-	policy atomic.Pointer[policyCell]
+	capacity int // 0 = unlimited
 
-	hits, misses, evictions, inserts atomic.Int64
-	trainings, dedup, trainFailures  atomic.Int64
-}
-
-type shard struct {
 	mu     sync.Mutex
-	cap    int                      // LRU capacity, 0 = unlimited
 	items  map[string]*list.Element // value: *node
 	lru    *list.List               // front = most recently used
 	flight map[string]*flightCall
+	hook   Hook
+	access AccessHook // hook's AccessHook view, nil when not implemented
+	policy EvictionPolicy
+
+	hits, misses, evictions, inserts atomic.Int64
+	trainings, dedup, trainFailures  atomic.Int64
 }
 
 type node struct {
 	key   string
 	entry *precompile.Entry
 	// hits counts lookups that found this entry (Get and GetOrTrain),
-	// guarded by the shard lock. The calibration-epoch roll orders its
+	// guarded by the store lock. The calibration-epoch roll orders its
 	// recompilation most-requested-first from these counts.
 	hits int64
 }
@@ -203,107 +161,61 @@ type flightCall struct {
 
 // New returns an empty store.
 func New(opts Options) *Store {
-	opts = opts.withDefaults()
-	s := &Store{
-		opts:   opts,
-		seed:   maphash.MakeSeed(),
-		shards: make([]*shard, opts.Shards),
+	return &Store{
+		capacity: max(opts.Capacity, 0),
+		items:    map[string]*list.Element{},
+		lru:      list.New(),
+		flight:   map[string]*flightCall{},
 	}
-	// Per-shard caps sum exactly to Capacity: base share everywhere, the
-	// remainder spread one-per-shard from the front.
-	base, rem := 0, 0
-	if opts.Capacity > 0 {
-		base, rem = opts.Capacity/opts.Shards, opts.Capacity%opts.Shards
-	}
-	for i := range s.shards {
-		c := 0
-		if opts.Capacity > 0 {
-			c = base
-			if i < rem {
-				c++
-			}
-		}
-		s.shards[i] = &shard{
-			cap:    c,
-			items:  map[string]*list.Element{},
-			lru:    list.New(),
-			flight: map[string]*flightCall{},
-		}
-	}
-	return s
 }
 
-// SetHook registers the mutation observer (nil clears it). Mutations
-// racing with the registration may be missed; callers that need a
-// complete view (e.g. the seed index) should backfill from Snapshot()
-// after registering.
+// SetHook registers the mutation observer (nil clears it). Entries already
+// resident are not replayed to it: register the hook before the store is
+// filled or shared, as the device registry does.
 func (s *Store) SetHook(h Hook) {
-	c := &hookCell{h: h}
-	if a, ok := h.(AccessHook); ok {
-		c.a = a
-	}
-	s.hook.Store(c)
+	a, _ := h.(AccessHook)
+	s.mu.Lock()
+	s.hook, s.access = h, a
+	s.mu.Unlock()
 }
 
-func (s *Store) hookAdded(e *precompile.Entry) {
-	if c := s.hook.Load(); c != nil && c.h != nil {
-		c.h.EntryAdded(e)
+// lookupLocked finds key under s.mu, counting the hit or miss on the
+// store, the entry's node and the access hook, and refreshing a hit's LRU
+// recency.
+func (s *Store) lookupLocked(key string) (*precompile.Entry, bool) {
+	el, ok := s.items[key]
+	if !ok {
+		s.misses.Add(1)
+		if s.access != nil {
+			s.access.EntryMissed(key)
+		}
+		return nil, false
 	}
-}
-
-func (s *Store) hookRemoved(key string) {
-	if c := s.hook.Load(); c != nil && c.h != nil {
-		c.h.EntryRemoved(key)
+	s.hits.Add(1)
+	s.lru.MoveToFront(el)
+	// Read under the lock: Put replaces node.entry in place.
+	n := el.Value.(*node)
+	n.hits++
+	if s.access != nil {
+		s.access.EntryHit(key)
 	}
-}
-
-func (s *Store) hookHit(key string) {
-	if c := s.hook.Load(); c != nil && c.a != nil {
-		c.a.EntryHit(key)
-	}
-}
-
-func (s *Store) hookMissed(key string) {
-	if c := s.hook.Load(); c != nil && c.a != nil {
-		c.a.EntryMissed(key)
-	}
-}
-
-func (s *Store) shardFor(key string) *shard {
-	h := maphash.String(s.seed, key)
-	return s.shards[h&uint64(len(s.shards)-1)]
+	return n.entry, true
 }
 
 // Get returns the entry for a canonical group key, counting a hit or miss
 // and refreshing LRU recency.
 func (s *Store) Get(key string) (*precompile.Entry, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	el, ok := sh.items[key]
-	if !ok {
-		s.hookMissed(key)
-		sh.mu.Unlock()
-		s.misses.Add(1)
-		return nil, false
-	}
-	sh.lru.MoveToFront(el)
-	// Read under the lock: Put replaces node.entry in place.
-	n := el.Value.(*node)
-	n.hits++
-	entry := n.entry
-	s.hookHit(key)
-	sh.mu.Unlock()
-	s.hits.Add(1)
-	return entry, true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lookupLocked(key)
 }
 
 // Contains reports coverage without touching hit/miss counters or LRU
 // order (used for stats-neutral inspection).
 func (s *Store) Contains(key string) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	_, ok := sh.items[key]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	_, ok := s.items[key]
+	s.mu.Unlock()
 	return ok
 }
 
@@ -312,64 +224,57 @@ func (s *Store) Put(e *precompile.Entry) {
 	if e == nil {
 		return
 	}
-	sh := s.shardFor(e.Key)
-	sh.mu.Lock()
-	s.putLocked(sh, e)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.putLocked(e)
+	s.mu.Unlock()
 }
 
-// putLocked inserts under sh.mu and applies LRU eviction.
-func (s *Store) putLocked(sh *shard, e *precompile.Entry) {
-	if el, ok := sh.items[e.Key]; ok {
+// putLocked inserts under s.mu and evicts down to capacity.
+func (s *Store) putLocked(e *precompile.Entry) {
+	if el, ok := s.items[e.Key]; ok {
 		el.Value.(*node).entry = e
-		sh.lru.MoveToFront(el)
-		s.hookAdded(e)
-		return
+		s.lru.MoveToFront(el)
+	} else {
+		// A fresh insert adopts the entry's carried hit count, so a
+		// snapshot-loaded library resumes its KeysByHits ordering instead
+		// of starting every entry at zero.
+		s.items[e.Key] = s.lru.PushFront(&node{key: e.Key, entry: e, hits: e.Hits})
+		s.inserts.Add(1)
 	}
-	// A fresh insert adopts the entry's carried hit count, so a
-	// snapshot-loaded library resumes its KeysByHits ordering instead of
-	// starting every entry at zero.
-	sh.items[e.Key] = sh.lru.PushFront(&node{key: e.Key, entry: e, hits: e.Hits})
-	s.inserts.Add(1)
-	s.hookAdded(e)
-	if sh.cap > 0 {
-		for sh.lru.Len() > sh.cap {
-			victim := s.victimLocked(sh)
-			if victim == nil {
-				break
-			}
-			sh.lru.Remove(victim)
-			key := victim.Value.(*node).key
-			delete(sh.items, key)
-			s.evictions.Add(1)
-			s.hookRemoved(key)
+	if s.hook != nil {
+		s.hook.EntryAdded(e)
+	}
+	for s.capacity > 0 && s.lru.Len() > s.capacity {
+		victim := s.victimLocked()
+		s.lru.Remove(victim)
+		key := victim.Value.(*node).key
+		delete(s.items, key)
+		s.evictions.Add(1)
+		if s.hook != nil {
+			s.hook.EntryRemoved(key)
 		}
 	}
 }
 
-// victimLocked picks the entry to evict from an over-cap shard: the LRU
-// tail when no eviction policy is installed (the historical behavior,
-// byte-for-byte), otherwise whatever the policy selects from the shard's
-// resident keys. The just-inserted entry is a candidate too — a policy may
-// decide the newcomer is the least worth keeping.
-func (s *Store) victimLocked(sh *shard) *list.Element {
-	oldest := sh.lru.Back()
-	if oldest == nil {
-		return nil
-	}
-	c := s.policy.Load()
-	if c == nil || c.p == nil {
+// victimLocked picks the entry to evict from an over-capacity store: the
+// LRU tail when no eviction policy is installed, otherwise whatever the
+// policy selects from every resident key. The just-inserted entry is a
+// candidate too — a policy may decide the newcomer is the least worth
+// keeping.
+func (s *Store) victimLocked() *list.Element {
+	oldest := s.lru.Back()
+	if s.policy == nil {
 		return oldest
 	}
-	keys := make([]string, 0, sh.lru.Len())
+	keys := make([]string, 0, s.lru.Len())
 	for el := oldest; el != nil; el = el.Prev() {
 		keys = append(keys, el.Value.(*node).key)
 	}
-	idx := c.p.Victim(keys)
+	idx := s.policy.Victim(keys)
 	if idx <= 0 || idx >= len(keys) {
 		return oldest
 	}
-	return sh.items[keys[idx]]
+	return s.items[keys[idx]]
 }
 
 // AddLibrary merges every entry of a plain library into the store.
@@ -407,29 +312,20 @@ var ErrTrainPanic = errors.New("libstore: training panicked")
 // failure like any other train error, so the key is released for a retry
 // instead of wedging every later caller.
 func (s *Store) GetOrTrain(key string, train func() (*precompile.Entry, error)) (*precompile.Entry, Outcome, error) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		sh.lru.MoveToFront(el)
-		n := el.Value.(*node)
-		n.hits++
-		entry := n.entry
-		s.hookHit(key)
-		sh.mu.Unlock()
-		s.hits.Add(1)
+	s.mu.Lock()
+	if entry, ok := s.lookupLocked(key); ok {
+		s.mu.Unlock()
 		return entry, OutcomeHit, nil
 	}
-	s.hookMissed(key)
-	s.misses.Add(1)
-	if c, ok := sh.flight[key]; ok {
-		sh.mu.Unlock()
+	if c, ok := s.flight[key]; ok {
+		s.mu.Unlock()
 		s.dedup.Add(1)
 		<-c.done
 		return c.entry, OutcomeJoined, c.err
 	}
 	c := &flightCall{done: make(chan struct{})}
-	sh.flight[key] = c
-	sh.mu.Unlock()
+	s.flight[key] = c
+	s.mu.Unlock()
 
 	s.trainings.Add(1)
 	entry, err := runTrain(key, train)
@@ -444,12 +340,12 @@ func (s *Store) GetOrTrain(key string, train func() (*precompile.Entry, error)) 
 		entry = nil
 	}
 
-	sh.mu.Lock()
-	delete(sh.flight, key)
+	s.mu.Lock()
+	delete(s.flight, key)
 	if err == nil {
-		s.putLocked(sh, entry)
+		s.putLocked(entry)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	c.entry, c.err = entry, err
 	close(c.done)
 	return entry, OutcomeTrained, err
@@ -467,13 +363,9 @@ func runTrain(key string, train func() (*precompile.Entry, error)) (entry *preco
 
 // Len returns the current entry count.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.items)
 }
 
 // Stats returns a counter snapshot.
@@ -493,13 +385,11 @@ func (s *Store) Stats() Stats {
 // HitCounts returns a snapshot of the per-entry hit counters, keyed by
 // entry key. Entries never hit are present with count 0.
 func (s *Store) HitCounts() map[string]int64 {
-	out := map[string]int64{}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k, el := range sh.items {
-			out[k] = el.Value.(*node).hits
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]int64, len(s.items))
+	for k, el := range s.items {
+		out[k] = el.Value.(*node).hits
 	}
 	return out
 }
@@ -527,12 +417,10 @@ func (s *Store) KeysByHits() []string {
 // (the persistence and interchange format).
 func (s *Store) Snapshot() *precompile.Library {
 	lib := precompile.NewLibrary()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k, el := range sh.items {
-			lib.Entries[k] = el.Value.(*node).entry
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, el := range s.items {
+		lib.Entries[k] = el.Value.(*node).entry
 	}
 	return lib
 }
@@ -544,15 +432,13 @@ func (s *Store) Snapshot() *precompile.Library {
 // immutable by convention).
 func (s *Store) SnapshotWithHits() *precompile.Library {
 	lib := precompile.NewLibrary()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k, el := range sh.items {
-			n := el.Value.(*node)
-			e := *n.entry
-			e.Hits = n.hits
-			lib.Entries[k] = &e
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, el := range s.items {
+		n := el.Value.(*node)
+		e := *n.entry
+		e.Hits = n.hits
+		lib.Entries[k] = &e
 	}
 	return lib
 }

@@ -38,7 +38,7 @@ func synthEntry(i int) *precompile.Entry {
 }
 
 func TestStoreGetPutCounters(t *testing.T) {
-	s := New(Options{Shards: 4})
+	s := New(Options{})
 	if _, ok := s.Get("absent"); ok {
 		t.Fatal("Get on empty store succeeded")
 	}
@@ -55,8 +55,7 @@ func TestStoreGetPutCounters(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	// One shard makes the LRU order deterministic.
-	s := New(Options{Shards: 1, Capacity: 3})
+	s := New(Options{Capacity: 3})
 	for i := 0; i < 3; i++ {
 		s.Put(synthEntry(i))
 	}
@@ -216,7 +215,7 @@ func TestGetOrTrainKeyMismatch(t *testing.T) {
 // TestStoreConcurrentHammer drives readers, writers and singleflight
 // trainers across a small keyspace with eviction pressure; run with -race.
 func TestStoreConcurrentHammer(t *testing.T) {
-	s := New(Options{Shards: 8, Capacity: 64})
+	s := New(Options{Capacity: 64})
 	const (
 		goroutines = 16
 		iters      = 500
@@ -253,8 +252,8 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 	st := s.Stats()
-	if st.Entries > 64+8 { // capacity, with per-shard ceiling slack
-		t.Fatalf("entries %d exceed capacity bound", st.Entries)
+	if st.Entries > 64 {
+		t.Fatalf("entries %d exceed capacity 64", st.Entries)
 	}
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no lookups recorded")
@@ -437,36 +436,54 @@ func TestSaveSnapshotAtomic(t *testing.T) {
 	}
 }
 
-// TestStoreCapacityExactBound pins the capacity fix: the old
-// ceil(Capacity/Shards) per-shard rounding let the store hold up to
-// Shards−1 entries beyond the requested Capacity.
+// TestStoreCapacityExactBound pins the capacity bound: the store never
+// holds more than Capacity entries.
 func TestStoreCapacityExactBound(t *testing.T) {
-	for _, tc := range []struct{ shards, capacity int }{
-		{16, 100}, // remainder 4: old bound was 16·7 = 112
-		{8, 9},    // remainder 1: old bound was 8·2 = 16
-		{4, 4},    // divides evenly
-		{16, 5},   // capacity below shard count: shards clamp to 4
-		{16, 1},   // degenerate: single-entry store
-	} {
-		s := New(Options{Shards: tc.shards, Capacity: tc.capacity})
-		for i := 0; i < 4*tc.capacity+64; i++ {
+	for _, capacity := range []int{100, 9, 4, 5, 1} {
+		s := New(Options{Capacity: capacity})
+		for i := 0; i < 4*capacity+64; i++ {
 			s.Put(synthEntry(i))
 		}
-		if got := s.Len(); got > tc.capacity {
-			t.Errorf("shards=%d capacity=%d: %d entries resident, exceeds capacity",
-				tc.shards, tc.capacity, got)
+		if got := s.Len(); got > capacity {
+			t.Errorf("capacity=%d: %d entries resident, exceeds capacity", capacity, got)
 		}
-		if st := s.Stats(); st.Entries > tc.capacity {
-			t.Errorf("shards=%d capacity=%d: Stats.Entries = %d", tc.shards, tc.capacity, st.Entries)
+		if st := s.Stats(); st.Entries > capacity {
+			t.Errorf("capacity=%d: Stats.Entries = %d", capacity, st.Entries)
 		}
 	}
 }
 
+// TestStoreEvictionIsOneLRU pins eviction as one least-recently-used order
+// over the whole store: two stores fed the same puts hold the same keys,
+// and those are exactly the most recent Capacity of them.
+func TestStoreEvictionIsOneLRU(t *testing.T) {
+	const capacity, puts = 8, 100
+	a, b := New(Options{Capacity: capacity}), New(Options{Capacity: capacity})
+	for i := 0; i < puts; i++ {
+		a.Put(synthEntry(i))
+		b.Put(synthEntry(i))
+	}
+	for _, s := range []*Store{a, b} {
+		if s.Len() != capacity {
+			t.Fatalf("Len = %d, want %d", s.Len(), capacity)
+		}
+		for i := puts - capacity; i < puts; i++ {
+			if key := synthEntry(i).Key; !s.Contains(key) {
+				t.Fatalf("%s, one of the %d most recent keys, was evicted; resident %v",
+					key, capacity, s.KeysByHits())
+			}
+		}
+	}
+	if st := a.Stats(); st.Evictions != puts-capacity {
+		t.Fatalf("evictions = %d, want %d", st.Evictions, puts-capacity)
+	}
+}
+
 // recordingHook captures mutation callbacks for coherence assertions.
-// Callbacks for one key are ordered (they run under the key's shard
-// lock), so the last event per key is the key's residency — the same
-// property the seed index relies on. adds counts every EntryAdded,
-// including replacements of resident keys.
+// Callbacks are ordered (they run under the store's lock), so the last
+// event per key is the key's residency — the same property the seed
+// index relies on. adds counts every EntryAdded, including replacements
+// of resident keys.
 type recordingHook struct {
 	mu       sync.Mutex
 	resident map[string]bool
@@ -506,7 +523,7 @@ func (h *recordingHook) live() map[string]bool {
 // TestStoreHookMirrorsMutations drives inserts, replacements and LRU
 // evictions and checks the hook's view matches the store exactly.
 func TestStoreHookMirrorsMutations(t *testing.T) {
-	s := New(Options{Shards: 1, Capacity: 3})
+	s := New(Options{Capacity: 3})
 	h := newRecordingHook()
 	s.SetHook(h)
 
@@ -538,10 +555,10 @@ func TestStoreHookMirrorsMutations(t *testing.T) {
 }
 
 // TestStoreHookUnderConcurrency re-runs the hammer with a hook attached;
-// meaningful under -race (hook callbacks run inside shard critical
-// sections).
+// meaningful under -race (hook callbacks run inside the store's critical
+// section).
 func TestStoreHookUnderConcurrency(t *testing.T) {
-	s := New(Options{Shards: 4, Capacity: 32})
+	s := New(Options{Capacity: 32})
 	h := newRecordingHook()
 	s.SetHook(h)
 	var wg sync.WaitGroup

@@ -85,8 +85,7 @@ func train(key string, numQubits, frequency int, target *cmat.Matrix, cfg Config
 
 // Merge copies every entry of other into l, overwriting on key collision.
 // Library itself is not safe for concurrent use — serving paths should go
-// through libstore.Store, which wraps a Library snapshot behind sharded
-// locks.
+// through libstore.Store, which wraps a Library snapshot behind one lock.
 func (l *Library) Merge(other *Library) {
 	if other == nil {
 		return

@@ -215,7 +215,7 @@ func (x *Index) AddLibrary(lib *precompile.Library) {
 }
 
 // EntryAdded satisfies libstore's mutation Hook: new or replaced store
-// entries are indexed. It runs under the store's shard lock, so it must
+// entries are indexed. It runs under the store's lock, so it must
 // not call back into the store (it doesn't).
 func (x *Index) EntryAdded(e *precompile.Entry) { x.Insert(e) }
 

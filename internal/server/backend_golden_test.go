@@ -12,7 +12,6 @@ import (
 
 	"accqoc"
 	"accqoc/internal/grouping"
-	"accqoc/internal/libstore"
 	"accqoc/internal/precompile"
 	"accqoc/internal/pulse"
 	"accqoc/internal/topology"
@@ -36,7 +35,8 @@ func TestGoldenResponseBodies(t *testing.T) {
 	}
 	opts := accqoc.Options{Device: topology.Melbourne(), Policy: grouping.Map2b4l, Precompile: fastOpts().Precompile}
 	specs := []string{"named:4gt4-v0", "random:6:300:1"}
-	store := libstore.New(libstore.Options{})
+	s := New(Config{Compile: opts, Workers: 1})
+	t.Cleanup(s.Close)
 	comp := accqoc.New(opts)
 	for _, spec := range specs {
 		p, err := workload.FromSpec(spec)
@@ -48,12 +48,12 @@ func TestGoldenResponseBodies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, u := range plan.Unique {
-			store.Put(syntheticEntry(u.Key, u.NumQubits))
+			s.Store().Put(syntheticEntry(u.Key, u.NumQubits))
 		}
 	}
-	s := New(Config{Compile: opts, Store: store, Workers: 1})
+	preloaded := s.Store().Len()
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(ts.Close)
 
 	cases := []struct {
 		path   string
@@ -97,8 +97,8 @@ func TestGoldenResponseBodies(t *testing.T) {
 			t.Errorf("case %d (%s): body digest %s, want %s", i, c.path, got, c.digest)
 		}
 	}
-	if st := s.Store().Stats(); st.Entries != store.Len() {
-		t.Fatalf("store holds %d entries after serving, want the %d preloaded", st.Entries, store.Len())
+	if st := s.Store().Stats(); st.Entries != preloaded {
+		t.Fatalf("store holds %d entries after serving, want the %d preloaded", st.Entries, preloaded)
 	}
 }
 

@@ -307,8 +307,9 @@ func TestCircuitPropertyRandomPrograms(t *testing.T) {
 
 // countingHook wraps the namespace's real store hook (the seed index) and
 // counts EntryAdded calls per key — the exactly-once training probe of
-// the race test. Adds arrive under shard locks from concurrent workers,
-// so the counter takes its own mutex.
+// the race test. Adds arrive under the store's lock from concurrent
+// workers while the test reads the counts, so the counter takes its own
+// mutex.
 type countingHook struct {
 	inner libstore.Hook
 	mu    sync.Mutex

@@ -243,7 +243,7 @@ type DeviceHealth struct {
 }
 
 // CompileTierHealth is the training-tier block of /healthz: the live
-// queue/in-flight readings, read through the CompileService interface.
+// queue/in-flight readings, read from the compilesvc.Pool.
 type CompileTierHealth struct {
 	Workers    int `json:"workers"`
 	QueueLen   int `json:"queue_len"`

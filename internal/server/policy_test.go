@@ -130,10 +130,10 @@ func TestCostPolicyProtectsExpensiveEntry(t *testing.T) {
 	}
 	run := func(policy string) (s *Server, ts *httptest.Server, twoQKey string) {
 		s = New(Config{
-			Compile:     fastOpts(),
-			Workers:     4,
-			Store:       libstore.New(libstore.Options{Shards: 1, Capacity: 2}),
-			CachePolicy: policy,
+			Compile:      fastOpts(),
+			Workers:      4,
+			StoreOptions: libstore.Options{Capacity: 2},
+			CachePolicy:  policy,
 		})
 		ts = httptest.NewServer(s.Handler())
 		t.Cleanup(func() { ts.Close(); s.Close() })
@@ -208,7 +208,7 @@ func TestPrefetchSpeculativeTraining(t *testing.T) {
 	s := New(Config{
 		Compile:          fastOpts(),
 		Workers:          4,
-		Store:            libstore.New(libstore.Options{Shards: 1, Capacity: 2}),
+		StoreOptions:     libstore.Options{Capacity: 2},
 		EnablePrefetch:   true,
 		PrefetchInterval: time.Hour, // the test drives RunOnce itself
 	})
@@ -305,7 +305,7 @@ func TestPolicyPrefetchRace(t *testing.T) {
 	s := New(Config{
 		Compile:          fastOpts(),
 		Workers:          4,
-		Store:            libstore.New(libstore.Options{Shards: 1, Capacity: 2}),
+		StoreOptions:     libstore.Options{Capacity: 2},
 		CachePolicy:      "cost",
 		EnablePrefetch:   true,
 		PrefetchInterval: time.Hour,
@@ -419,7 +419,7 @@ func runPolicyReplay(tb testing.TB, rounds int, costPolicy, prefetch bool) repla
 	s := New(Config{
 		Compile:          fastOpts(),
 		Workers:          1,
-		Store:            libstore.New(libstore.Options{Shards: 1, Capacity: 4}),
+		StoreOptions:     libstore.Options{Capacity: 4},
 		CachePolicy:      policy,
 		EnablePrefetch:   prefetch,
 		PrefetchInterval: time.Hour, // driven manually between requests
@@ -482,7 +482,7 @@ func runColdStartReplay(tb testing.TB, prefetch bool) replayOutcome {
 	s := New(Config{
 		Compile:          fastOpts(),
 		Workers:          1,
-		StoreOptions:     libstore.Options{Shards: 1, Capacity: 8},
+		StoreOptions:     libstore.Options{Capacity: 8},
 		CachePolicy:      "cost",
 		EnablePrefetch:   prefetch,
 		PrefetchInterval: time.Hour,

@@ -3,10 +3,8 @@
 // owns the Prepare→coverage→train→latency pipeline and its worker pool.
 // This package handles transport, request validation, admission
 // accounting, device/namespace routing through the device registry
-// (internal/devreg), request IDs and observability spans — and speaks to
-// the pipeline exclusively through the compilesvc.CompileService
-// interface, so the training tier can later run out-of-process or be
-// consistent-hashed across nodes without touching a handler.
+// (internal/devreg), request IDs and observability spans — and reaches the
+// pipeline only through the training tier's compilesvc.Pool methods.
 //
 // Synchronous requests (POST /v1/compile, POST /v1/circuits/compile)
 // block on the service's Do and return the finished response; the same
@@ -49,18 +47,17 @@ import (
 )
 
 // Config assembles a Server. The zero value serves the paper's default
-// pipeline (Melbourne, map2b4l) on GOMAXPROCS workers with a fresh store.
+// pipeline (Melbourne, map2b4l) on GOMAXPROCS workers with a fresh,
+// unbounded store.
 type Config struct {
 	// Compile configures the pipeline (device, policy, GRAPE budgets) for
 	// the default device; it is also the option template for the extra
 	// Devices (their topology and Hamiltonian override it per namespace).
 	Compile accqoc.Options
-	// Store is the default device's epoch-0 pulse library; nil creates an
-	// unbounded one. Extra devices and later epochs get fresh stores with
-	// StoreOptions.
-	Store *libstore.Store
-	// StoreOptions configure the stores created for extra devices and
-	// fresh calibration epochs (shards, capacity).
+	// StoreOptions configure every namespace's pulse store (its capacity):
+	// the default device's, each extra device's and each new calibration
+	// epoch's. Every store starts empty; BootSnapshot fills the default
+	// device's.
 	StoreOptions libstore.Options
 	// DeviceName is the registry name of the default device (the one an
 	// absent `device` request field routes to). Default "default".
@@ -126,9 +123,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Store == nil {
-		c.Store = libstore.New(c.StoreOptions)
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -182,8 +176,8 @@ type StatsResponse struct {
 }
 
 // ServerStats carries request-level counters plus the training tier's
-// live queue/in-flight readings (reported through the CompileService
-// interface — the routing tier holds no pipeline state of its own).
+// live queue/in-flight readings (read from the compilesvc.Pool — the
+// routing tier holds no pipeline state of its own).
 type ServerStats struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Requests      int64   `json:"requests"`
@@ -219,7 +213,7 @@ type Server struct {
 
 	// svc is the training tier: the only way this package reaches the
 	// compile pipeline.
-	svc compilesvc.CompileService
+	svc *compilesvc.Pool
 	// prefetcher is the idle-cycle speculative-training driver; nil unless
 	// Config.EnablePrefetch.
 	prefetcher *compilesvc.Prefetcher
@@ -270,7 +264,7 @@ func New(cfg Config) *Server {
 		Name:   cfg.DeviceName,
 		Device: cfg.Compile.Device,
 		Ham:    cfg.Compile.Precompile.Ham,
-	}, cfg.Store)
+	})
 	if err != nil {
 		// Reachable through an impossible default profile or an unknown
 		// CachePolicy (the command validates its flags first); surface

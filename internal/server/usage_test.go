@@ -238,9 +238,9 @@ func TestUsageLedgerOracleUnderLoad(t *testing.T) {
 		t.Skip("trains pulses; skipped in -short")
 	}
 	s := New(Config{
-		Compile: fastOpts(),
-		Workers: 4,
-		Store:   libstore.New(libstore.Options{Shards: 1, Capacity: 2}),
+		Compile:      fastOpts(),
+		Workers:      4,
+		StoreOptions: libstore.Options{Capacity: 2},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer func() { ts.Close(); s.Close() }()

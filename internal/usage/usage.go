@@ -19,7 +19,7 @@
 // cost history survives recalibrations: keys are content addresses shared
 // across epochs, and each new epoch's trainings accumulate onto the same
 // rows. All methods are safe for concurrent use; hook callbacks run under
-// a store shard lock and must stay cheap (one mutex, map ops only).
+// the store's lock and must stay cheap (one mutex, map ops only).
 package usage
 
 import (
@@ -154,8 +154,8 @@ func (l *Ledger) rowFor(key string) *row {
 }
 
 // EntryAdded implements libstore.Hook: accumulate the entry's training
-// cost onto its row. Re-delivery of the same *Entry (hook backfill,
-// AddLibrary merge) is idempotent; a genuinely new entry for a known key
+// cost onto its row. Re-delivery of the same *Entry (a re-Put of a
+// resident entry) is idempotent; a genuinely new entry for a known key
 // (epoch re-training, post-eviction re-training) accumulates.
 func (l *Ledger) EntryAdded(e *precompile.Entry) {
 	if e == nil {
@@ -202,9 +202,9 @@ func (l *Ledger) EntryRemoved(key string) {
 	l.evictions++
 }
 
-// EntryHit implements libstore.AccessHook. The row is created if absent
-// (hook registered without backfill) so hit counts survive registration
-// order, matching EntryAdded/RecordRequest behavior.
+// EntryHit implements libstore.AccessHook. The row is created if absent,
+// as EntryAdded and RecordRequest create theirs, so a hit counts whichever
+// event names its key first.
 func (l *Ledger) EntryHit(key string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -227,18 +227,6 @@ func (l *Ledger) EntryMissed(key string) {
 		l.regretEvents++
 		l.regretIterations += r.iterations
 		l.regretWallNs += r.wallNs
-	}
-}
-
-// AddLibrary backfills the ledger from a store snapshot — the
-// hook-first-backfill-second pattern: entries racing in between are
-// delivered twice and deduplicated on entry identity.
-func (l *Ledger) AddLibrary(lib *precompile.Library) {
-	if lib == nil {
-		return
-	}
-	for _, e := range lib.Entries {
-		l.EntryAdded(e)
 	}
 }
 
@@ -621,7 +609,7 @@ func (l *Ledger) Stats() Stats {
 // product — the report's ranking signal — and the tiebreak is the raw
 // accumulated iterations, so among never-hit entries an expensive one
 // (667 iterations of 2Q training) outlives a nearly-free 1q one. Unknown
-// keys score (0, 0). Called under a store shard lock; the ledger mutex is
+// keys score (0, 0). Called under the store's lock; the ledger mutex is
 // a leaf (no ledger method calls back into the store), so this is
 // deadlock-free by construction.
 func (l *Ledger) EntryScore(key string) (score, tiebreak float64) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"accqoc/internal/circuit"
+	"accqoc/internal/crosstalk"
 	"accqoc/internal/gate"
 	"accqoc/internal/grouping"
 	"accqoc/internal/topology"
@@ -50,7 +51,7 @@ func TestGoldenPrepare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashPrepared(h, prep)
+			hashPrepared(h, prep, dev)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != w.digest {
 			t.Errorf("suite under %s: digest %s, want %s", w.pol.Name, got, w.digest)
@@ -92,7 +93,7 @@ func TestGoldenPrepare(t *testing.T) {
 				continue
 			}
 			fallbacks += prep.MapResult.GreedyFallbacks
-			hashPrepared(h, prep)
+			hashPrepared(h, prep, w.dev)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != w.digest {
 			t.Errorf("random case %d on %s (aware=%v, budget=%d): digest %s, want %s",
@@ -144,8 +145,9 @@ func randomProgram(t testing.TB, rng *rand.Rand, maxQubits int) *circuit.Circuit
 	return p.Circuit
 }
 
-// hashPrepared feeds every output field of the front end into h.
-func hashPrepared(h hash.Hash, p *Prepared) {
+// hashPrepared feeds every output field of the front end into h, then
+// the crosstalk metric of its DAG on dev (§VI-C), which the CLI reports.
+func hashPrepared(h hash.Hash, p *Prepared, dev *topology.Device) {
 	ints := func(vs ...int) {
 		var b [8]byte
 		for _, v := range vs {
@@ -182,5 +184,5 @@ func hashPrepared(h hash.Hash, p *Prepared) {
 		list(gr.Preds[i])
 		list(gr.Succs[i])
 	}
-	ints(p.CrosstalkMetric)
+	ints(crosstalk.MetricDAG(p.DAG, dev))
 }

@@ -209,28 +209,6 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationExpm compares the Hermitian-eigendecomposition
-// propagator against the general Padé exponential.
-func BenchmarkAblationExpm(b *testing.B) {
-	sys := hamiltonian.TwoQubit(hamiltonian.Config{})
-	hm := sys.Assemble([]float64{0.03, -0.02, 0.01, 0.04})
-	b.Run("hermitian-eigen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cmat.ExpmHermitian(hm, -20); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pade", func(b *testing.B) {
-		arg := cmat.Scale(complex(0, -20), hm)
-		for i := 0; i < b.N; i++ {
-			if _, err := cmat.Expm(arg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationMSTOrder compares MST-ordered warm starts against the
 // naive sequential ordering on the same category.
 func BenchmarkAblationMSTOrder(b *testing.B) {

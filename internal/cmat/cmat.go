@@ -1,7 +1,7 @@
 // Package cmat implements dense complex linear algebra for quantum optimal
-// control: matrix arithmetic, Kronecker products, LU factorization, a
-// Hermitian Jacobi eigensolver, a complex Schur decomposition, matrix
-// exponentials and principal square roots.
+// control: matrix arithmetic, Kronecker products, a Hermitian Jacobi
+// eigensolver (whose spectral functions give the GRAPE propagators), a
+// complex Schur decomposition and principal square roots.
 //
 // Matrices are dense, row-major []complex128. The package is the numerical
 // substrate for every other package in this repository; it has no
@@ -9,7 +9,8 @@
 //
 // Unless documented otherwise, functions return freshly allocated results
 // and never alias their inputs. Dimension mismatches are programmer errors
-// and panic; numerical failures (non-convergence, singularity) return errors.
+// and panic; numerical failures (non-convergence, a principal square root
+// that does not exist) return errors.
 package cmat
 
 import (
@@ -169,17 +170,6 @@ func Scale(s complex128, a *Matrix) *Matrix {
 	out := New(a.Rows, a.Cols)
 	for i := range a.Data {
 		out.Data[i] = s * a.Data[i]
-	}
-	return out
-}
-
-// AddScaled returns a + s·b, a fused building block for Hamiltonian
-// assembly H = H0 + Σ u_k H_k.
-func AddScaled(a *Matrix, s complex128, b *Matrix) *Matrix {
-	sameShape("AddScaled", a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + s*b.Data[i]
 	}
 	return out
 }
@@ -385,18 +375,6 @@ func Kron(a, b *Matrix) *Matrix {
 	return out
 }
 
-// KronChain returns the Kronecker product of all arguments left to right.
-func KronChain(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		panic("cmat: KronChain of zero matrices")
-	}
-	out := ms[0].Clone()
-	for _, m := range ms[1:] {
-		out = Kron(out, m)
-	}
-	return out
-}
-
 // FrobeniusNorm returns √Σ|aᵢⱼ|².
 func FrobeniusNorm(a *Matrix) float64 {
 	var s float64
@@ -424,22 +402,6 @@ func MaxAbs(a *Matrix) float64 {
 		}
 	}
 	return s
-}
-
-// OneNorm returns the induced 1-norm (max absolute column sum), used by the
-// Padé scaling heuristic in Expm.
-func OneNorm(a *Matrix) float64 {
-	var best float64
-	for j := 0; j < a.Cols; j++ {
-		var s float64
-		for i := 0; i < a.Rows; i++ {
-			s += cmplx.Abs(a.Data[i*a.Cols+j])
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
 }
 
 // IsHermitian reports whether a equals its conjugate transpose within tol.

@@ -41,43 +41,30 @@ func NewJacobiWorkspace(n int) *JacobiWorkspace {
 	return &JacobiWorkspace{w: New(n, n), v: New(n, n), perm: make([]int, n)}
 }
 
-// EigenHermitian diagonalizes a Hermitian matrix with the cyclic complex
-// Jacobi method (closed form for 2×2). The input is validated to be
-// Hermitian within hermTol; use EigenHermitianTol to override the default
-// 1e-9 (relative to max |aij|).
-func EigenHermitian(a *Matrix) (*HermitianEigen, error) {
-	return EigenHermitianTol(a, 1e-9)
-}
-
-// EigenHermitianTol is EigenHermitian with an explicit Hermitian-validation
-// tolerance (scaled by max |aij|).
-func EigenHermitianTol(a *Matrix, hermTol float64) (*HermitianEigen, error) {
-	out := NewHermitianEigen(a.Rows)
-	if err := eigenHermitianInto(a, NewJacobiWorkspace(a.Rows), out, hermTol, true); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EigenHermitianInto diagonalizes a into out using ws for scratch,
-// allocating nothing. a, ws and out must all have the same dimension and
-// must not alias. The decomposition is numerically identical to
-// EigenHermitian's — the allocating API is a thin wrapper over this one.
+// EigenHermitianInto diagonalizes the Hermitian matrix a into out with the
+// cyclic complex Jacobi method (closed form for 2×2), using ws for scratch
+// and allocating nothing. The input is validated to be Hermitian within
+// hermTol. a, ws and out must all have the same dimension and must not
+// alias.
 func EigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen) error {
-	return eigenHermitianInto(a, ws, out, 1e-9, true)
+	return eigenHermitianInto(a, ws, out, true)
 }
 
 // EigenHermitianIntoTrusted is EigenHermitianInto minus the Hermiticity
 // validation scan. Only for callers that construct a Hermitian by
 // construction (real combinations of validated Hermitian operators) and
 // diagonalize in a hot loop; a non-Hermitian input silently yields garbage.
-// The decomposition itself is identical to the validated paths'.
+// The decomposition itself is identical to the validated path's.
 func EigenHermitianIntoTrusted(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen) error {
-	return eigenHermitianInto(a, ws, out, 0, false)
+	return eigenHermitianInto(a, ws, out, false)
 }
 
-func eigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, hermTol float64, validate bool) error {
-	mustSquare("EigenHermitian", a)
+// hermTol is EigenHermitianInto's Hermitian-validation tolerance, relative
+// to max |aij|.
+const hermTol = 1e-9
+
+func eigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, validate bool) error {
+	mustSquare("EigenHermitianInto", a)
 	n := a.Rows
 	if len(out.Values) != n || out.Vectors.Rows != n || out.Vectors.Cols != n {
 		panic("cmat: EigenHermitianInto output dimension mismatch")
@@ -92,7 +79,7 @@ func eigenHermitianInto(a *Matrix, ws *JacobiWorkspace, out *HermitianEigen, her
 		return nil
 	}
 	if validate && !IsHermitian(a, hermTol*scale) {
-		return errors.New("cmat: EigenHermitian: input is not Hermitian")
+		return errors.New("cmat: EigenHermitianInto: input is not Hermitian")
 	}
 	if n == 2 {
 		eigenHermitian2x2(a, out)

@@ -114,43 +114,6 @@ func TestMulConjInto(t *testing.T) {
 	}
 }
 
-// TestEigenHermitianIntoMatchesAllocating asserts the workspace solver is
-// bit-identical to the allocating API, across dimensions covering the
-// closed-form 2×2 path and the Jacobi path, with workspace reuse.
-func TestEigenHermitianIntoMatchesAllocating(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 6} {
-		ws := NewJacobiWorkspace(n)
-		out := NewHermitianEigen(n)
-		for seed := int64(0); seed < 8; seed++ {
-			a := randHermitian(n, 1000*int64(n)+seed)
-			want, err := EigenHermitian(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := EigenHermitianInto(a, ws, out); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want.Values {
-				if out.Values[i] != want.Values[i] {
-					t.Fatalf("n=%d seed=%d: Values[%d] %v != %v", n, seed, i, out.Values[i], want.Values[i])
-				}
-			}
-			if !out.Vectors.Equal(want.Vectors) {
-				t.Fatalf("n=%d seed=%d: Vectors differ", n, seed)
-			}
-			// The trusted variant skips validation but must decompose
-			// identically.
-			out2 := NewHermitianEigen(n)
-			if err := EigenHermitianIntoTrusted(a, ws, out2); err != nil {
-				t.Fatal(err)
-			}
-			if !out2.Vectors.Equal(want.Vectors) {
-				t.Fatalf("n=%d seed=%d: trusted Vectors differ", n, seed)
-			}
-		}
-	}
-}
-
 // TestEigen2x2ClosedForm exercises the analytic 2×2 kernel against its
 // defining properties, including the near-diagonal regime where the naive
 // eigenvector formula cancels.
@@ -164,7 +127,7 @@ func TestEigen2x2ClosedForm(t *testing.T) {
 		FromRows([][]complex128{{5, 1e-12i}, {-1e-12i, -5}}),     // tiny off-diagonal
 	}
 	for i, a := range cases {
-		e, err := EigenHermitian(a)
+		e, err := eigen(a)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -182,7 +145,7 @@ func TestEigen2x2ClosedForm(t *testing.T) {
 
 func TestApplyFuncIntoMatchesApplyFunc(t *testing.T) {
 	a := randHermitian(4, 9)
-	e, err := EigenHermitian(a)
+	e, err := eigen(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +174,7 @@ func TestEigenHermitianExtremeScales(t *testing.T) {
 			{complex(s, 0), complex(0.5*s, 0)},
 			{complex(0.5*s, 0), complex(-s, 0)},
 		})
-		e, err := EigenHermitian(a)
+		e, err := eigen(a)
 		if err != nil {
 			t.Fatalf("scale %g: %v", s, err)
 		}
@@ -232,7 +195,7 @@ func TestEigenHermitianExtremeScales(t *testing.T) {
 		a.Set(0, 1, complex(s, 0))
 		a.Set(1, 0, complex(s, 0))
 		a.Set(2, 2, complex(2*s, 0))
-		e, err := EigenHermitian(a)
+		e, err := eigen(a)
 		if err != nil {
 			t.Fatalf("jacobi scale %g: %v", s, err)
 		}

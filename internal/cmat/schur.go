@@ -1,6 +1,7 @@
 package cmat
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -239,17 +240,41 @@ func qrStep(t, q *Matrix, lo, hi int, mu complex128) {
 	}
 }
 
-// Eigenvalues returns the eigenvalues of a square complex matrix via Schur
-// decomposition, in the order they appear on the diagonal of T.
-func Eigenvalues(a *Matrix) ([]complex128, error) {
+// Sqrtm returns the principal square root of a square matrix via its Schur
+// decomposition and the Björck–Hammarling recurrence on the triangular
+// factor. For normal matrices (unitaries, Hermitians) this reduces to the
+// spectral square root. Matrices with eigenvalues on the closed negative
+// real axis may not have a principal root; a zero or near-cancelling
+// diagonal pair yields an error.
+func Sqrtm(a *Matrix) (*Matrix, error) {
 	s, err := SchurDecompose(a)
 	if err != nil {
 		return nil, err
 	}
 	n := a.Rows
-	out := make([]complex128, n)
+	t := s.T
+	r := New(n, n)
 	for i := 0; i < n; i++ {
-		out[i] = s.T.Data[i*n+i]
+		r.Data[i*n+i] = cmplx.Sqrt(t.Data[i*n+i])
 	}
-	return out, nil
+	for off := 1; off < n; off++ {
+		for i := 0; i+off < n; i++ {
+			j := i + off
+			sum := t.Data[i*n+j]
+			for k := i + 1; k < j; k++ {
+				sum -= r.Data[i*n+k] * r.Data[k*n+j]
+			}
+			den := r.Data[i*n+i] + r.Data[j*n+j]
+			if cmplx.Abs(den) < 1e-300 {
+				if cmplx.Abs(sum) < 1e-12 {
+					r.Data[i*n+j] = 0
+					continue
+				}
+				return nil, fmt.Errorf("cmat: Sqrtm: eigenvalue pair cancels (λi=%v, λj=%v)",
+					t.Data[i*n+i], t.Data[j*n+j])
+			}
+			r.Data[i*n+j] = sum / den
+		}
+	}
+	return MulChain(s.Q, r, Dagger(s.Q)), nil
 }

@@ -21,8 +21,8 @@ func refEvaluate(sys *hamiltonian.System, target *cmat.Matrix, dt float64, nSeg,
 	for s := 0; s < nSeg; s++ {
 		copy(amps, x[s*nCtl:(s+1)*nCtl])
 		h := sys.Assemble(amps)
-		e, err := cmat.EigenHermitian(h)
-		if err != nil {
+		e := cmat.NewHermitianEigen(sys.Dim)
+		if err := cmat.EigenHermitianInto(h, cmat.NewJacobiWorkspace(sys.Dim), e); err != nil {
 			return math.Inf(1)
 		}
 		step := e.ApplyFunc(func(l float64) complex128 {
@@ -51,8 +51,8 @@ func refGradient(sys *hamiltonian.System, target *cmat.Matrix, dt float64, nSeg,
 	for s := 0; s < nSeg; s++ {
 		copy(amps, x[s*nCtl:(s+1)*nCtl])
 		h := sys.Assemble(amps)
-		e, err := cmat.EigenHermitian(h)
-		if err != nil {
+		e := cmat.NewHermitianEigen(sys.Dim)
+		if err := cmat.EigenHermitianInto(h, cmat.NewJacobiWorkspace(sys.Dim), e); err != nil {
 			return math.Inf(1)
 		}
 		eigs[s] = e

@@ -2,6 +2,7 @@ package hamiltonian
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"accqoc/internal/cmat"
@@ -129,10 +130,13 @@ func TestRabiFlipTiming(t *testing.T) {
 	u := s.MaxAmp
 	tFlip := math.Pi / (2 * u)
 	h := s.Assemble([]float64{u, 0})
-	prop, err := cmat.ExpmHermitian(h, -tFlip)
-	if err != nil {
+	e := cmat.NewHermitianEigen(s.Dim)
+	if err := cmat.EigenHermitianInto(h, cmat.NewJacobiWorkspace(s.Dim), e); err != nil {
 		t.Fatal(err)
 	}
+	prop := e.ApplyFunc(func(l float64) complex128 {
+		return cmplx.Exp(complex(0, -tFlip*l))
+	})
 	wantX := cmat.FromRows([][]complex128{{0, 1}, {1, 0}})
 	got := cmat.Scale(1i, prop) // remove the −i global phase
 	if !got.EqualApprox(wantX, 1e-10) {

@@ -187,9 +187,8 @@ func DecodeSnapshotFingerprint(data []byte) (*precompile.Library, string, error)
 			// and served for the wrong group.
 			return nil, "", fmt.Errorf("%w: entry filed under %q carries key %q", ErrCorrupt, key, e.Key)
 		}
-		if err := e.Pulse.Validate(); err != nil {
-			return nil, "", fmt.Errorf("%w: entry %q: %v", ErrCorrupt, key, err)
-		}
+		// The pulse validated itself while decoding (UnmarshalBinary under
+		// gob, UnmarshalJSON), so a non-finite or ragged one never gets here.
 		e.Seal()
 	}
 	return lib, fingerprint, nil

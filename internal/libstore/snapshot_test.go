@@ -69,6 +69,32 @@ func TestDecodeSnapshotRejectsNonFinitePulse(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotRejectsInvalidJSONPulse checks the JSON path: a pulse
+// whose time step is not positive is refused as corrupt by the pulse's own
+// UnmarshalJSON, the one validation a decoded pulse gets.
+func TestDecodeSnapshotRejectsInvalidJSONPulse(t *testing.T) {
+	s := New(Options{})
+	s.Put(synthEntry(0))
+	s.Put(synthEntry(1))
+	valid, err := EncodeSnapshotFingerprint(s.Snapshot(), FormatJSON, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSnapshotFingerprint(valid); err != nil {
+		t.Fatalf("unmodified snapshot: %v", err)
+	}
+	old := []byte(`"dt_ns":2`)
+	if n := bytes.Count(valid, old); n != 2 {
+		t.Fatalf("time step occurs %d times in the payload, want 2", n)
+	}
+	for _, repl := range []string{`"dt_ns":0`, `"dt_ns":-2`} {
+		payload := bytes.Replace(valid[headerLen:], old, []byte(repl), 1)
+		if _, _, err := DecodeSnapshotFingerprint(sealSnapshot(byte(FormatJSON), "", payload)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", repl, err)
+		}
+	}
+}
+
 // maxFuzzSnapshot caps the fuzzed fingerprint plus payload.
 const maxFuzzSnapshot = 64 << 10
 

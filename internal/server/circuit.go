@@ -37,7 +37,7 @@ type CircuitResponse = compilesvc.CircuitResponse
 
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req CircuitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.failures.Add(1)

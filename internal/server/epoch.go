@@ -47,7 +47,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var upd devreg.CalibrationUpdate
 	if err := json.NewDecoder(r.Body).Decode(&upd); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid calibration body: %w", err))

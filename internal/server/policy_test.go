@@ -257,17 +257,37 @@ func TestPrefetchSpeculativeTraining(t *testing.T) {
 		t.Errorf("speculative training reported %d iterations", pstats.Iterations)
 	}
 
-	// The re-request is served from the speculation, not a retrain: the
-	// 2Q group costs hundreds of iterations, so any request-path training
-	// now is at most the cheap anchor's.
-	out, code := postCompile(t, ts.URL, CompileRequest{QASM: anchorProgram})
-	if code != http.StatusOK {
-		t.Fatalf("re-request status %d", code)
+	// The re-request is served from the speculation: the 2Q key is a hit.
+	// A hit records no train span, so no train span of the re-request's
+	// trace may carry the key. (The speculation's insert may have evicted
+	// the h anchor, which the re-request then trains again.)
+	post(anchorProgram)
+	var dbg struct {
+		Recent []struct {
+			Endpoint string `json:"endpoint"`
+			Spans    []struct {
+				Name    string `json:"name"`
+				Key     string `json:"key"`
+				Outcome string `json:"outcome"`
+			} `json:"spans"`
+		} `json:"recent"`
 	}
-	requestTrained += int64(out.UncoveredUnique)
-	if int64(out.TrainingIterations) >= pstats.Iterations {
-		t.Errorf("re-request trained %d iterations, speculation paid %d — prefetch did not serve it",
-			out.TrainingIterations, pstats.Iterations)
+	dr, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(dr.Body).Decode(&dbg)
+	dr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dbg.Recent) == 0 || dbg.Recent[0].Endpoint != "/v1/compile" {
+		t.Fatalf("no trace of the re-request: %+v", dbg.Recent)
+	}
+	for _, sp := range dbg.Recent[0].Spans {
+		if sp.Name == "train" && sp.Key == cxKey {
+			t.Errorf("re-request's 2Q key was %s, not a hit: prefetch did not serve it", sp.Outcome)
+		}
 	}
 
 	// Exactly-once oracle: every training ran through the same

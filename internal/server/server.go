@@ -46,6 +46,10 @@ import (
 	"accqoc/internal/workload"
 )
 
+// maxBodyBytes bounds every request body (compile, circuit compile,
+// calibration); a larger body answers 400.
+const maxBodyBytes = 4 << 20
+
 // Config assembles a Server. The zero value serves the paper's default
 // pipeline (Melbourne, map2b4l) on GOMAXPROCS workers with a fresh,
 // unbounded store.
@@ -80,8 +84,6 @@ type Config struct {
 	QueueDepth int
 	// MaxGates rejects programs above this gate count (400). Default 4096.
 	MaxGates int
-	// MaxBodyBytes bounds request bodies. Default 4 MiB.
-	MaxBodyBytes int64
 	// JobTTL bounds how long finished async jobs stay pollable before
 	// TTL eviction. Default 15 minutes.
 	JobTTL time.Duration
@@ -131,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGates <= 0 {
 		c.MaxGates = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 	if c.FlightRecorderSize <= 0 {
 		c.FlightRecorderSize = 64
@@ -401,7 +400,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, req CompileReq
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req CompileRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.failures.Add(1)

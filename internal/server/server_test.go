@@ -234,6 +234,40 @@ func TestServerRequestValidation(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedBody checks the body cap on both compile
+// endpoints: a well-formed body one byte over maxBodyBytes answers 400
+// before any compilation and counts as a failed request, while a body of
+// exactly maxBodyBytes is read whole.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t)
+	post := func(path string, size int) (int, string) {
+		t.Helper()
+		pad := size - len(`{"qasm":""}`)
+		body := `{"qasm":"` + strings.Repeat(" ", pad) + `"}`
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e["error"]
+	}
+	for _, path := range []string{"/v1/compile", "/v1/circuits/compile"} {
+		if code, msg := post(path, maxBodyBytes+1); code != http.StatusBadRequest || !strings.Contains(msg, "request body too large") {
+			t.Errorf("%s: body over the cap: status %d, error %q; want 400, body too large", path, code, msg)
+		}
+	}
+	st := getStats(t, ts.URL)
+	if st.Server.Requests != 2 || st.Server.Failures != 2 {
+		t.Errorf("server stats %+v, want 2 requests, 2 failures", st.Server)
+	}
+	// At the cap the body decodes, and the blank program fails to parse.
+	if code, msg := post("/v1/compile", maxBodyBytes); code != http.StatusBadRequest || strings.Contains(msg, "too large") {
+		t.Errorf("body at the cap: status %d, error %q; want a 400 from the parser", code, msg)
+	}
+}
+
 func TestServerGateBudget(t *testing.T) {
 	s := New(Config{Compile: fastOpts(), MaxGates: 2})
 	defer s.Close()

@@ -15,7 +15,6 @@ import (
 	"accqoc/internal/grape"
 	"accqoc/internal/grouping"
 	"accqoc/internal/hamiltonian"
-	"accqoc/internal/optimize"
 	"accqoc/internal/partition"
 	"accqoc/internal/precompile"
 	"accqoc/internal/simgraph"
@@ -165,48 +164,6 @@ func BenchmarkAblationWarmStart(b *testing.B) {
 			b.ReportMetric(float64(arms[0].Iterations), "iters")
 		}
 	})
-}
-
-// BenchmarkAblationOptimizer compares the two quasi-Newton methods GRAPE
-// trains with: dense BFGS (the paper's §IV-D choice and the default) and
-// L-BFGS. h-1q trains the H gate at 50 ns; cx-2q trains CX at 500 ns on
-// BenchmarkCompile2Q's configuration (32 segments, target 1e-3, 400
-// iterations, no restarts), the size of objective the cold serving path
-// trains. Each reports optimizer iterations (iters) and line-search trial
-// points (evals), both deterministic.
-func BenchmarkAblationOptimizer(b *testing.B) {
-	cases := []struct {
-		name     string
-		sys      *hamiltonian.System
-		g        gate.Name
-		duration float64
-		opts     grape.Options
-	}{
-		{"h-1q", hamiltonian.OneQubit(hamiltonian.Config{}), gate.H, 50,
-			grape.Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 3, MaxIterations: 3000}},
-		{"cx-2q", hamiltonian.TwoQubit(hamiltonian.Config{}), gate.CX, 500,
-			grape.Options{Segments: 32, TargetInfidelity: 1e-3, Seed: 5, MaxIterations: 400, Restarts: -1}},
-	}
-	for _, c := range cases {
-		target, err := gate.Unitary(c.g, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range []optimize.Method{optimize.BFGS, optimize.LBFGS} {
-			opts := c.opts
-			opts.Method = m
-			b.Run(c.name+"/"+string(m), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := grape.Compile(c.sys, target, c.duration, opts, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.Iterations), "iters")
-					b.ReportMetric(float64(res.FuncEvals), "evals")
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkAblationMSTOrder compares MST-ordered warm starts against the

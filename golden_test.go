@@ -70,10 +70,10 @@ func TestGoldenCompileSequence(t *testing.T) {
 	}
 }
 
-const goldenCompileSequence = `compile0 uncovered=2 iters=476 latency=4084500000000000
+const goldenCompileSequence = `compile0 uncovered=2 iters=310 latency=4075e00000000000
 compile1 uncovered=3 iters=2 latency=4037c00000000000
-key=0c8512da q=1 iters=1 latency=23.75 inf=3f5faa759d787600 amps=9d4ea59fd76dc7a3
-key=121da239 q=1 iters=0 latency=23.75 inf=3f50c9ff21fdaa00 amps=528d7ecec94eec0e
-key=1231b2f8 q=1 iters=8 latency=23.75 inf=3f7b31ab32f31e00 amps=528d7ecec94eec0e
-key=34e58a8c q=1 iters=1 latency=23.75 inf=3f62dde8cf203000 amps=ba9b4555df1a0d7c
-key=f737387e q=2 iters=468 latency=650 inf=3f82dc456514a300 amps=8a1b7f96cf2eb402`
+key=0c8512da q=1 iters=1 latency=23.75 inf=3f5e5b7ee8b57a00 amps=98a2b6be0c1d8787
+key=121da239 q=1 iters=0 latency=23.75 inf=3f4f682107e4c400 amps=274b6189ec42127a
+key=1231b2f8 q=1 iters=5 latency=23.75 inf=3f7a7cc2597ead80 amps=274b6189ec42127a
+key=34e58a8c q=1 iters=1 latency=23.75 inf=3f5e99234c3cb600 amps=414b3173752f390a
+key=f737387e q=2 iters=305 latency=350 inf=3f8478965f3eab80 amps=97dbdef8a4df00da`

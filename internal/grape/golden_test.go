@@ -65,10 +65,10 @@ func TestGoldenCompile(t *testing.T) {
 	}{
 		{"1q-h", oneQ(), gate.H, 50,
 			Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 3, Restarts: -1},
-			21, 194, 0x3f0b6443c90f4000, "4089b0252e5cc48f464372ba7a1fcaf9c62374cb3f8a76f03f594e55caa54b18"},
+			7, 19, 0x3eecd26332a00000, "38df4490c6ed9d1468b2b204774b3c2bbf3d5e178d0b404801ae2ef180f42a5f"},
 		{"2q-cx", twoQ(), gate.CX, 500,
 			Options{Segments: 32, TargetInfidelity: 1e-3, Seed: 5, MaxIterations: 400, Restarts: -1},
-			400, 1822, 0x3f6984cbd8457800, "43fed1a4de567a8641efcde78f4f104b557b63b74482db832d7afe0c41cc6015"},
+			46, 74, 0x3f4fe98f72c99000, "874b02c11a310f0eee684cf01923405407afae784aed628cc56e8cfd00e64f48"},
 	}
 	for _, c := range cases {
 		res, err := Compile(c.sys, gateU(t, c.g), c.duration, c.opts, nil)
@@ -94,19 +94,16 @@ func TestGoldenBinarySearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hint's 1.25× probe (500 ns) fails, so the search falls back to
-	// the bracket top and bisects down.
+	// The hint's 1.25× probe (500 ns) converges, so the search bisects
+	// down from it, and every shorter probe fails.
 	want := []Probe{
-		{Duration: 500, Converged: false, Iterations: 200},
-		{Duration: 1500, Converged: true, Iterations: 79},
-		{Duration: 1000, Converged: true, Iterations: 72},
-		{Duration: 750, Converged: true, Iterations: 91},
-		{Duration: 625, Converged: true, Iterations: 147},
-		{Duration: 562.5, Converged: false, Iterations: 148},
-		{Duration: 593.75, Converged: true, Iterations: 168},
+		{Duration: 500, Converged: true, Iterations: 175},
+		{Duration: 325, Converged: false, Iterations: 200},
+		{Duration: 412.5, Converged: false, Iterations: 200},
+		{Duration: 456.25, Converged: false, Iterations: 200},
 	}
-	const wantDuration = 593.75
-	const wantHash = "ee1a4dbf875135ad7afdada77c178bc157b0cbed9d66ae6c969df440cc0f0533"
+	const wantDuration = 500
+	const wantHash = "2c119b86e10913323606fe4e981b68e437577a86ce9bfec52512a68da7a70a5a"
 	if res.Duration != wantDuration {
 		t.Errorf("duration = %v, want %v", res.Duration, wantDuration)
 	}

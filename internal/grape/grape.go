@@ -3,9 +3,10 @@
 // the system's time-ordered propagator reaches a target unitary. This is
 // the QOC engine of the paper (§II-D, §IV-D): exact unitary propagation
 // through Hermitian eigendecomposition, the exact gradient (the eigenbasis
-// Fréchet derivative of each segment propagator), BFGS or L-BFGS via
-// package optimize, warm starts from previously trained pulses (§V-B), and
-// binary search over the pulse latency (§IV-D).
+// Fréchet derivative of each segment propagator), L-BFGS via package
+// optimize (the paper picks dense BFGS; DESIGN.md, "Substitutions"), warm
+// starts from previously trained pulses (§V-B), and binary search over the
+// pulse latency (§IV-D).
 //
 // The evaluation core is allocation-free in steady state: each Compile owns
 // an arena of per-segment buffers (see objective.go) reused across every
@@ -15,7 +16,6 @@ package grape
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"accqoc/internal/cmat"
 	"accqoc/internal/hamiltonian"
@@ -29,12 +29,10 @@ const ampPenaltyWeight = 10
 
 // Options configures a compilation.
 type Options struct {
-	Segments         int             // piecewise-constant slices (default 24)
-	Method           optimize.Method // default BFGS, the paper's choice
-	MaxIterations    int             // optimizer cap (default 1000)
-	TargetInfidelity float64         // stop when 1−F ≤ this (default 1e-4, the paper's cost target)
-	Seed             int64           // deterministic random init
-	TimeBudget       time.Duration   // wall-clock cap per optimization (paper: 600 s per probe)
+	Segments         int     // piecewise-constant slices (default 24)
+	MaxIterations    int     // optimizer cap (default 1000)
+	TargetInfidelity float64 // stop when 1−F ≤ this (default 1e-4, the paper's cost target)
+	Seed             int64   // deterministic random init
 	// Restarts retries non-converged optimizations from fresh random
 	// initializations (default 2; pass -1 to disable). GRAPE landscapes
 	// have saddle plateaus; multi-start is the standard mitigation.
@@ -53,9 +51,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Segments == 0 {
 		o.Segments = 24
-	}
-	if o.Method == "" {
-		o.Method = optimize.BFGS
 	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 1000
@@ -126,16 +121,12 @@ func Compile(sys *hamiltonian.System, target *cmat.Matrix, duration float64, opt
 			MaxIterations: opts.MaxIterations,
 			TargetCost:    opts.TargetInfidelity,
 			GradTol:       1e-12,
-			TimeBudget:    opts.TimeBudget,
 		}
 		if opts.IterationHook != nil {
 			hook := opts.IterationHook
 			oopts.IterHook = func(_ int, cost, stepNorm float64) { hook(cost, stepNorm) }
 		}
-		res, err := optimize.Minimize(opts.Method, obj, x0, oopts)
-		if err != nil {
-			return nil, err
-		}
+		res := optimize.Minimize(obj, x0, oopts)
 		totalIters += res.Iterations
 		totalEvals += res.FuncEvals
 		p := obj.vectorToPulse(res.X)

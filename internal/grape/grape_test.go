@@ -7,7 +7,6 @@ import (
 	"accqoc/internal/cmat"
 	"accqoc/internal/gate"
 	"accqoc/internal/hamiltonian"
-	"accqoc/internal/optimize"
 	"accqoc/internal/pulse"
 )
 
@@ -92,15 +91,13 @@ func TestCompileHGateAllOptimizers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains pulses; skipped in -short")
 	}
-	for _, m := range []optimize.Method{optimize.BFGS, optimize.LBFGS} {
-		opts := Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 2, Method: m, MaxIterations: 4000}
-		res, err := Compile(oneQ(), gateU(t, gate.H), 50, opts, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if !res.Converged {
-			t.Errorf("%s: H gate infidelity %v after %d iters", m, res.Infidelity, res.Iterations)
-		}
+	opts := Options{Segments: 12, TargetInfidelity: 1e-4, Seed: 2, MaxIterations: 4000}
+	res, err := Compile(oneQ(), gateU(t, gate.H), 50, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Errorf("H gate infidelity %v after %d iters", res.Infidelity, res.Iterations)
 	}
 }
 

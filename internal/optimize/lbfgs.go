@@ -2,130 +2,16 @@ package optimize
 
 import "math"
 
-// MinimizeBFGS runs dense BFGS with a strong-Wolfe line search (Nocedal &
-// Wright, Algorithms 6.1 + 3.5/3.6). The inverse Hessian approximation
-// starts at the identity and is reset whenever the curvature condition
-// fails badly.
-func MinimizeBFGS(obj Objective, x0 []float64, opts Options) *Result {
-	return minimizeBFGS(obj, x0, opts, wolfeLineSearch)
+// Minimize runs L-BFGS from x0: the two-loop recursion over the last ten
+// steps (lbfgsMemory), scaled by sᵀy/yᵀy of the newest pair, with a
+// strong-Wolfe line search. It does not modify x0.
+func Minimize(obj Objective, x0 []float64, opts Options) *Result {
+	return minimize(obj, x0, opts, wolfeLineSearch)
 }
 
-func minimizeBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSearchFunc) *Result {
+func minimize(obj Objective, x0 []float64, opts Options, lineSearch lineSearchFunc) *Result {
 	opts = opts.withDefaults()
-	st := newRunState(opts)
-	n := len(x0)
-	x := append([]float64(nil), x0...)
-	grad := make([]float64, n)
-	cost := obj.Gradient(x, grad)
-	st.evals++
-
-	// hInv is the inverse Hessian approximation, row-major n×n.
-	hInv := make([]float64, n*n)
-	resetH := func() {
-		for i := range hInv {
-			hInv[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			hInv[i*n+i] = 1
-		}
-	}
-	resetH()
-
-	dir := make([]float64, n)
-	xNew := make([]float64, n)
-	gradNew := make([]float64, n)
-	s := make([]float64, n)
-	y := make([]float64, n)
-	hy := make([]float64, n)
-
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if cost <= opts.TargetCost {
-			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Converged: true, Reason: "target cost reached"}
-		}
-		if infNorm(grad) <= opts.GradTol {
-			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Converged: true, Reason: "gradient tolerance reached"}
-		}
-		if st.expired() {
-			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Reason: "time budget exhausted"}
-		}
-		// dir = −H⁻¹·grad
-		for i := 0; i < n; i++ {
-			var sum float64
-			row := hInv[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				sum += row[j] * grad[j]
-			}
-			dir[i] = -sum
-		}
-		// Ensure descent; reset H on failure.
-		if dot(dir, grad) >= 0 {
-			resetH()
-			for i := range dir {
-				dir[i] = -grad[i]
-			}
-		}
-		newCost, ok := lineSearch(obj, st, x, dir, cost, grad, xNew, gradNew)
-		if !ok {
-			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Reason: "line search failed"}
-		}
-		for i := 0; i < n; i++ {
-			s[i] = xNew[i] - x[i]
-			y[i] = gradNew[i] - grad[i]
-		}
-		sy := dot(s, y)
-		if sy > 1e-12*norm2(s)*norm2(y) {
-			updateInverseHessian(hInv, s, y, hy, sy, n)
-		} else {
-			resetH()
-		}
-		if opts.IterHook != nil {
-			opts.IterHook(iter, newCost, norm2(s))
-		}
-		copy(x, xNew)
-		copy(grad, gradNew)
-		cost = newCost
-	}
-	return &Result{X: x, Cost: cost, Iterations: opts.MaxIterations, FuncEvals: st.evals, Reason: "iteration cap"}
-}
-
-// updateInverseHessian applies the BFGS update
-// H ← (I − ρ·s·yᵀ)·H·(I − ρ·y·sᵀ) + ρ·s·sᵀ with ρ = 1/(yᵀs), using the
-// caller's hy buffer for H·y. The update term is symmetric and H stays
-// symmetric, so only the upper triangle is computed and then mirrored.
-func updateInverseHessian(hInv, s, y, hy []float64, sy float64, n int) {
-	rho := 1 / sy
-	for i := 0; i < n; i++ {
-		var sum float64
-		row := hInv[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			sum += row[j] * y[j]
-		}
-		hy[i] = sum
-	}
-	yhy := dot(y, hy)
-	// H += ρ²·(yᵀHy)·s·sᵀ + ρ·s·sᵀ − ρ·(s·hyᵀ + hy·sᵀ)
-	c1 := rho*rho*yhy + rho
-	for i := 0; i < n; i++ {
-		si, hyi := s[i], hy[i]
-		for j := i; j < n; j++ {
-			d := c1*si*s[j] - rho*(si*hy[j]+hyi*s[j])
-			hInv[i*n+j] += d
-			if i != j {
-				hInv[j*n+i] += d
-			}
-		}
-	}
-}
-
-// MinimizeLBFGS runs limited-memory BFGS with the two-loop recursion over
-// the last lbfgsMemory steps.
-func MinimizeLBFGS(obj Objective, x0 []float64, opts Options) *Result {
-	return minimizeLBFGS(obj, x0, opts, wolfeLineSearch)
-}
-
-func minimizeLBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSearchFunc) *Result {
-	opts = opts.withDefaults()
-	st := newRunState(opts)
+	st := &runState{}
 	n := len(x0)
 	x := append([]float64(nil), x0...)
 	grad := make([]float64, n)
@@ -149,9 +35,6 @@ func minimizeLBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSea
 		}
 		if infNorm(grad) <= opts.GradTol {
 			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Converged: true, Reason: "gradient tolerance reached"}
-		}
-		if st.expired() {
-			return &Result{X: x, Cost: cost, Iterations: iter, FuncEvals: st.evals, Reason: "time budget exhausted"}
 		}
 		// Two-loop recursion.
 		copy(dir, grad)
@@ -215,10 +98,10 @@ func minimizeLBFGS(obj Objective, x0 []float64, opts Options, lineSearch lineSea
 	return &Result{X: x, Cost: cost, Iterations: opts.MaxIterations, FuncEvals: st.evals, Reason: "iteration cap"}
 }
 
-// lineSearchFunc is the step-length search BFGS and L-BFGS share. On
-// success xNew/gradNew hold the accepted point and its gradient, and the
-// point's cost is returned. It is a parameter only so tests can run the
-// optimizers against a reference model of the search.
+// lineSearchFunc is the step-length search L-BFGS runs. On success
+// xNew/gradNew hold the accepted point and its gradient, and the point's
+// cost is returned. It is a parameter only so tests can run the optimizer
+// against a reference model of the search.
 type lineSearchFunc func(obj Objective, st *runState, x, dir []float64, f0 float64, g0 []float64, xNew, gradNew []float64) (cost float64, ok bool)
 
 // trialPoints prices the points x + a·dir of one line search into xNew and

@@ -138,42 +138,44 @@ func TestCostOnlyLineSearchMatchesEager(t *testing.T) {
 		a: []float64{1, -2, 3, 0.5, -1, 2, 0, 4},
 		c: []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 3},
 	}
+	// reason is each case's stop reason: between them the cases reach
+	// the two stops that no other test does.
 	cases := []struct {
-		name string
-		obj  Objective
-		x0   []float64
+		name   string
+		obj    Objective
+		x0     []float64
+		reason string
 	}{
-		{"rosenbrock", rosenbrock{}, []float64{-1.2, 1}},
-		{"rosenbrock-far", rosenbrock{}, []float64{3, -4}},
-		{"ill-conditioned", illConditioned, make([]float64, 8)},
-		{"noisy", noisy{illConditioned}, []float64{5, 5, 5, 5, 5, 5, 5, 5}},
+		{"rosenbrock", rosenbrock{}, []float64{-1.2, 1}, "gradient tolerance reached"},
+		{"rosenbrock-far", rosenbrock{}, []float64{3, -4}, "gradient tolerance reached"},
+		{"ill-conditioned", illConditioned, make([]float64, 8), "gradient tolerance reached"},
+		{"noisy", noisy{illConditioned}, []float64{5, 5, 5, 5, 5, 5, 5, 5}, "line search failed"},
 	}
-	type minimizer func(Objective, []float64, Options, lineSearchFunc) *Result
-	methods := map[string]minimizer{"bfgs": minimizeBFGS, "l-bfgs": minimizeLBFGS}
 	for _, c := range cases {
-		for mname, minimize := range methods {
-			opts := Options{MaxIterations: 300, GradTol: 1e-10}
-			lazyObj := &counting{Objective: c.obj}
-			eagerObj := &counting{Objective: c.obj}
-			lazy := minimize(lazyObj, c.x0, opts, wolfeLineSearch)
-			eager := minimize(eagerObj, c.x0, opts, eagerWolfeLineSearch)
-			if diff := sameResult(lazy, eager); diff != "" {
-				t.Errorf("%s/%s: cost-only result differs from eager: %s", c.name, mname, diff)
-			}
-			if eagerObj.gradients != eager.FuncEvals || eagerObj.evaluates != 0 {
-				t.Fatalf("%s/%s: eager model made %d Gradient and %d Evaluate calls for %d evals",
-					c.name, mname, eagerObj.gradients, eagerObj.evaluates, eager.FuncEvals)
-			}
-			// Every trial point is priced once; the initial point is
-			// priced by Gradient alone.
-			if lazyObj.evaluates != lazy.FuncEvals-1 {
-				t.Errorf("%s/%s: %d Evaluate calls for %d evals", c.name, mname, lazyObj.evaluates, lazy.FuncEvals)
-			}
-			if lazyObj.gradients >= eagerObj.gradients {
-				t.Errorf("%s/%s: %d Gradient calls, eager made %d", c.name, mname, lazyObj.gradients, eagerObj.gradients)
-			}
-			t.Logf("%s/%s: %d iters, %d trial points, Gradient calls %d → %d (%s)", c.name, mname,
-				lazy.Iterations, lazy.FuncEvals, eagerObj.gradients, lazyObj.gradients, lazy.Reason)
+		opts := Options{MaxIterations: 300, GradTol: 1e-10}
+		lazyObj := &counting{Objective: c.obj}
+		eagerObj := &counting{Objective: c.obj}
+		lazy := minimize(lazyObj, c.x0, opts, wolfeLineSearch)
+		eager := minimize(eagerObj, c.x0, opts, eagerWolfeLineSearch)
+		if diff := sameResult(lazy, eager); diff != "" {
+			t.Errorf("%s: cost-only result differs from eager: %s", c.name, diff)
 		}
+		if lazy.Reason != c.reason {
+			t.Errorf("%s: stopped on %q, want %q", c.name, lazy.Reason, c.reason)
+		}
+		if eagerObj.gradients != eager.FuncEvals || eagerObj.evaluates != 0 {
+			t.Fatalf("%s: eager model made %d Gradient and %d Evaluate calls for %d evals",
+				c.name, eagerObj.gradients, eagerObj.evaluates, eager.FuncEvals)
+		}
+		// Every trial point is priced once; the initial point is
+		// priced by Gradient alone.
+		if lazyObj.evaluates != lazy.FuncEvals-1 {
+			t.Errorf("%s: %d Evaluate calls for %d evals", c.name, lazyObj.evaluates, lazy.FuncEvals)
+		}
+		if lazyObj.gradients >= eagerObj.gradients {
+			t.Errorf("%s: %d Gradient calls, eager made %d", c.name, lazyObj.gradients, eagerObj.gradients)
+		}
+		t.Logf("%s: %d iters, %d trial points, Gradient calls %d → %d (%s)", c.name,
+			lazy.Iterations, lazy.FuncEvals, eagerObj.gradients, lazyObj.gradients, lazy.Reason)
 	}
 }

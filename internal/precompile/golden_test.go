@@ -130,20 +130,20 @@ func checkPins(t *testing.T, what, got, want string) {
 	}
 }
 
-const goldenBuildEntries = `cx iters=363 latency=400 inf=3f84521b9f102e00 amps=6a655b2c0dface55
-cx+rz0.2 iters=317 latency=400 inf=3f8434fd9d9b1380 amps=b82a8c4987b19bfb
-rz0.4 iters=7 latency=23.75 inf=3f772f2ed1356000 amps=6106566717321279
-rz0.5 iters=2 latency=23.75 inf=3f78ab080f5fcb80 amps=a180cf96f5904a41
-rz3.0 iters=239 latency=41.25 inf=3f6d698b15f50000 amps=8cefbc0fa0d7b6d2
-rz⊗rz iters=131 latency=200 inf=3f7eb4e83a382200 amps=7b5b2da421ef521c`
+const goldenBuildEntries = `cx iters=266 latency=300 inf=3f845fe225439c80 amps=27658d46cc859fad
+cx+rz0.2 iters=154 latency=300 inf=3f838c13b1e7d880 amps=61c1856ef9c08480
+rz0.4 iters=14 latency=23.75 inf=3f828810bc617040 amps=daf4b8af373e6d91
+rz0.5 iters=2 latency=23.75 inf=3f801f51fdd29f00 amps=b0545dcaf66cacd2
+rz3.0 iters=160 latency=41.25 inf=3f6069e58c6a7300 amps=57b1f55d7201bbb5
+rz⊗rz iters=28 latency=200 inf=3f8201c2e43e9c00 amps=2b0ea951543ca537`
 
-const goldenBuildStats = `total=1059 failed=[swap]
-rz0.4 q=1 iters=7 latency=23.75 warm="" converged=true
+const goldenBuildStats = `total=624 failed=[swap]
+rz0.4 q=1 iters=14 latency=23.75 warm="" converged=true
 rz0.5 q=1 iters=2 latency=23.75 warm="rz0.4" converged=true
-rz3.0 q=1 iters=239 latency=41.25 warm="" converged=true
-rz⊗rz q=2 iters=131 latency=200 warm="" converged=true
-cx q=2 iters=363 latency=400 warm="" converged=true
-cx+rz0.2 q=2 iters=317 latency=400 warm="cx" converged=true
+rz3.0 q=1 iters=160 latency=41.25 warm="" converged=true
+rz⊗rz q=2 iters=28 latency=200 warm="" converged=true
+cx q=2 iters=266 latency=300 warm="" converged=true
+cx+rz0.2 q=2 iters=154 latency=300 warm="cx" converged=true
 swap q=2 iters=0 latency=0 warm="" converged=false`
 
 func TestGoldenBuild(t *testing.T) {
@@ -160,12 +160,12 @@ func TestGoldenBuild(t *testing.T) {
 	checkPins(t, "Build stats", statPins(stats, names), goldenBuildStats)
 }
 
-const goldenParallelEntries = `cx iters=363 latency=400 inf=3f84521b9f102e00 amps=6a655b2c0dface55
-cx+rz0.2 iters=317 latency=400 inf=3f8434fd9d9b1380 amps=b82a8c4987b19bfb
-rz0.4 iters=7 latency=23.75 inf=3f772f2ed1356000 amps=6106566717321279
-rz0.5 iters=2 latency=23.75 inf=3f78ab080f5fcb80 amps=a180cf96f5904a41
-rz3.0 iters=133 latency=37.5 inf=3f74c0073adbc080 amps=408d950a488c85cc
-rz⊗rz iters=131 latency=200 inf=3f7eb4e83a382200 amps=7b5b2da421ef521c`
+const goldenParallelEntries = `cx iters=266 latency=300 inf=3f845fe225439c80 amps=27658d46cc859fad
+cx+rz0.2 iters=154 latency=300 inf=3f838c13b1e7d880 amps=61c1856ef9c08480
+rz0.4 iters=14 latency=23.75 inf=3f828810bc617040 amps=daf4b8af373e6d91
+rz0.5 iters=2 latency=23.75 inf=3f801f51fdd29f00 amps=b0545dcaf66cacd2
+rz3.0 iters=160 latency=37.5 inf=3f820fd4f50b0a80 amps=f9bcc28ecb12dfe9
+rz⊗rz iters=28 latency=200 inf=3f8201c2e43e9c00 amps=2b0ea951543ca537`
 
 func TestGoldenParallelBuild(t *testing.T) {
 	skipUnlessAMD64(t)

@@ -66,9 +66,9 @@ func TestGoldenServingSequence(t *testing.T) {
 	}
 }
 
-const goldenServingSequence = `request0 covered=0 uncovered=2 iters=139 warm_seeded=1 seed_distance=3f7476832bf42000
-request1 covered=1 uncovered=2 iters=110 warm_seeded=2 seed_distance=3f709e803babe3c0
-key=11f60861 iters=57 latency=37.5 inf=3f81b94eff3bb080 amps=8408d9660cfefa27
-key=6d4ab0d9 iters=83 latency=37.5 inf=3f68bd5fc9bc1b00 amps=b483c45797b30f57
-key=9231d93f iters=53 latency=37.5 inf=3f6f5f6c2d37f600 amps=b483c45797b30f57
-key=a14ad977 iters=56 latency=37.5 inf=3f7bd5de5ad24900 amps=07adef288961261a`
+const goldenServingSequence = `request0 covered=0 uncovered=2 iters=112 warm_seeded=1 seed_distance=3f7476832bf42000
+request1 covered=1 uncovered=2 iters=89 warm_seeded=2 seed_distance=3f709e803babe3c0
+key=11f60861 iters=47 latency=37.5 inf=3f73b19bfc8f5180 amps=4d538e550ee143da
+key=6d4ab0d9 iters=65 latency=37.5 inf=3f80ee5ffb1bba00 amps=4d538e550ee143da
+key=9231d93f iters=42 latency=37.5 inf=3f72c24accc3de00 amps=4d538e550ee143da
+key=a14ad977 iters=47 latency=37.5 inf=3f4ff1dd351d8800 amps=4d538e550ee143da`
